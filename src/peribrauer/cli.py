@@ -118,8 +118,11 @@ def cmd_cartan_matrix(args) -> int:
 
 
 def cmd_verify_tl(args) -> int:
-    lo, _, hi = args.q_range.partition(":")
-    rep = grothendieck.verify_tl(args.r_max, int(lo), int(hi))
+    try:
+        lo, hi = map(int, args.q_range.split(":"))
+    except ValueError:
+        raise ValueError(f"--q-range must be LO:HI (integers): {args.q_range!r}") from None
+    rep = grothendieck.verify_tl(args.r_max, lo, hi)
     print(f"{rep.checks} relation instances checked, {len(rep.violations)} violations")
     for relation, r, lam, q, p, lhs, rhs in rep.violations:
         print(

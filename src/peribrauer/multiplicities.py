@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
 
 from .partitions import (
     Partition,
@@ -41,7 +41,6 @@ class DecompositionMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
-@cache
 def _gamma_pair(lam: Partition, mu: Partition) -> bool:
     return contains(lam, mu) and is_gamma(skew_from_pair(mu, lam))
 
@@ -103,23 +102,36 @@ def cartan_mult_witness(r: int, nu: Partition, mu: Partition) -> int:
 
 
 def cartan_matrix(r: int) -> DecompositionMatrix:
-    """Matrix of cartan_mult_sum values over the simple labels, with the
-    witness formula and the 0/1 bound asserted entrywise."""
-    labels = labels_Lambda(r)
-    entries = []
+    """Cartan multiplicities over the simple labels, assembled from the
+    cell matrix through the up-set of each cell label lam (the mu with
+    cell(lam, mu) = 1).  The sum form adds cell(lam, mu) * cell(lam', nu')
+    over lam; the witness form marks (nu, mu) when lam also sits inside nu
+    with the transpose of nu/lam a member.  The two must agree entrywise
+    with every entry 0 or 1."""
+    cell = cell_matrix(r)
+    labels = cell.col_labels
+    ups = {
+        lam: [mu for mu, e in zip(labels, row) if e]
+        for lam, row in zip(cell.row_labels, cell.entries)
+    }
+    total, witness = Counter(), set()
+    for lam, up in ups.items():
+        up_conj = {conjugate(x) for x in ups[conjugate(lam)]}
+        for nu in labels:
+            if nu in up_conj:
+                total.update((nu, mu) for mu in up)
+            if contains(lam, nu) and is_gamma(conjugate_skew(skew_from_pair(nu, lam))):
+                witness.update((nu, mu) for mu in up)
     for nu in labels:
-        row = []
         for mu in labels:
-            s = cartan_mult_sum(r, nu, mu)
-            w = cartan_mult_witness(r, nu, mu)
+            s, w = total[nu, mu], int((nu, mu) in witness)
             if s != w or s > 1:
                 raise ConsistencyError(
                     f"cartan entry ({format_partition(nu)}, {format_partition(mu)}) "
                     f"at r={r}: sum={s}, witness={w}"
                 )
-            row.append(s)
-        entries.append(tuple(row))
-    return DecompositionMatrix(r, labels, labels, tuple(entries))
+    entries = tuple(tuple(total[nu, mu] for mu in labels) for nu in labels)
+    return DecompositionMatrix(r, labels, labels, entries)
 
 
 @dataclass

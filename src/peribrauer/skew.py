@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .partitions import Box, Partition, contains, format_partition
 
@@ -197,22 +197,18 @@ def skew_from_pair(outer: Partition, inner: Partition) -> SkewDiagram:
     return SkewDiagram.from_occ(occ)
 
 
-def _connected_pieces(boxes) -> list[frozenset]:
-    remaining = set(boxes)
-    out = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i, j = frontier.pop()
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in remaining and nb not in comp:
-                    comp.add(nb)
-                    frontier.append(nb)
-        remaining -= comp
-        out.append(frozenset(comp))
-    return out
+def _pieces(rows: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Indices of the nonempty rows (l, r] of a skew shape, grouped into
+    edge-connected pieces: rows i and i + 1 touch exactly when
+    l_i < r_{i+1}."""
+    pieces: list[list[int]] = []
+    for i, (l, r) in enumerate(rows):
+        if l < r:
+            if pieces and pieces[-1][-1] == i - 1 and rows[i - 1][0] < r:
+                pieces[-1].append(i)
+            else:
+                pieces.append([i])
+    return pieces
 
 
 def components(k: SkewDiagram) -> list[tuple[SkewDiagram, tuple[int, int]]]:
@@ -220,14 +216,13 @@ def components(k: SkewDiagram) -> list[tuple[SkewDiagram, tuple[int, int]]]:
 
     Boxes are adjacent when they share a side.  Each component is returned
     canonicalised, together with the offset (dr, dc) such that a canonical
-    box (i, j) sits at (i + dr, j + dc) in the frame of k.
+    box (i, j) sits at (i + dr, j + dc) in the frame of k, in ascending
+    offset order.
     """
     out = []
-    for comp in _connected_pieces(k.boxes()):
-        dr = min(i for i, _ in comp) - 1
-        dc = min(j for _, j in comp) - 1
-        out.append((SkewDiagram.from_boxes((i - dr, j - dc) for i, j in comp), (dr, dc)))
-    out.sort(key=lambda t: t[1])
+    for piece in _pieces(k.rows):
+        occ = {i: k.rows[i] for i in piece}
+        out.append((SkewDiagram.from_occ(occ), (piece[0], min(l for l, _ in occ.values()))))
     return out
 
 
@@ -337,21 +332,16 @@ def u_removable(k: SkewDiagram) -> frozenset[Box]:
 
 @dataclass(frozen=True, slots=True)
 class Hook:
-    """A connected skew diagram with pairwise distinct contents, fixed in
-    space (absolute box coordinates)."""
+    """A ribbon fixed in space (absolute box coordinates): ordered by
+    content, each box lies right of or above the one before, so it is a
+    connected skew diagram with pairwise distinct contents."""
 
     boxes: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if not self.boxes:
-            raise ValueError("a hook has at least one box")
-        contents = {j - i for i, j in self.boxes}
-        if len(contents) != len(self.boxes):
-            raise ValueError("hook has two boxes of equal content")
-        _occ_from_boxes(self.boxes)  # must be a valid skew shape
-        if len(_connected_pieces(self.boxes)) != 1:
-            raise ValueError("hook is not connected")
-        assert len(self.boxes) == self.ht + self.wd - 1
+        walk = sorted(self.boxes, key=lambda b: b[1] - b[0])
+        if not walk or any(b not in ((i, j + 1), (i - 1, j)) for (i, j), b in pairwise(walk)):
+            raise ValueError(f"not a ribbon: {sorted(self.boxes)}")
 
     @property
     def ht(self) -> int:
@@ -369,9 +359,6 @@ class Hook:
     def max_box(self) -> Box:
         return Box(*max(self.boxes, key=lambda b: b[1] - b[0]))
 
-    def diagram(self) -> SkewDiagram:
-        return SkewDiagram.from_boxes(self.boxes)
-
 
 Covering = tuple
 
@@ -384,20 +371,18 @@ def covering(k: SkewDiagram) -> Covering:
     sorted by their minimal box.
     """
     hooks: list[Hook] = []
-
-    def strip(piece: frozenset):
-        by_content: dict[int, tuple[int, int]] = {}
-        for b in piece:
-            c = b[1] - b[0]
-            if c not in by_content or b[1] > by_content[c][1]:
-                by_content[c] = b
-        outer = frozenset(by_content.values())
-        hooks.append(Hook(outer))
-        for rest in _connected_pieces(piece - outer):
-            strip(rest)
-
-    for piece in _connected_pieces(k.boxes()):
-        strip(piece)
+    rows = list(k.rows)
+    while pieces := _pieces(rows):
+        # the rightmost box of a content is the one with no box below and
+        # to its right, so the rim of row i starts at column r_{i+1}; the
+        # last row and a row not touching the next are all rim
+        cuts = [max(l, min(r, below - 1)) for (l, r), (_, below) in pairwise(rows)]
+        cuts.append(rows[-1][0])
+        for piece in pieces:
+            hooks.append(Hook(frozenset(
+                (i + 1, j) for i in piece for j in range(cuts[i] + 1, rows[i][1] + 1)
+            )))
+        rows = [(l, cut) for (l, _), cut in zip(rows, cuts)]
     hooks.sort(key=lambda h: sorted(h.boxes))
     return tuple(hooks)
 
@@ -434,16 +419,10 @@ def is_gamma0(h: Hook) -> bool:
     return all(i + j >= a for i, j in h.boxes)
 
 
-_GAMMA_CACHE: dict[tuple, bool] = {}
-
-
 def is_gamma(k: SkewDiagram) -> bool:
     """True iff every hook of the covering of k passes `is_gamma0`; the
     empty diagram is a member."""
-    cached = _GAMMA_CACHE.get(k.rows)
-    if cached is None:
-        cached = _GAMMA_CACHE[k.rows] = all(is_gamma0(h) for h in covering(k))
-    return cached
+    return all(is_gamma0(h) for h in covering(k))
 
 
 def conjugate_skew(k: SkewDiagram) -> SkewDiagram:
@@ -514,6 +493,8 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
     sit arbitrarily far apart in general, and every extra row or column of
     separation costs content span.
     """
+    if max_size < 0:
+        raise ValueError("max_size must be >= 0")
     if span_cap is None:
         span_cap = max_size + 1
     yield EMPTY
@@ -575,11 +556,15 @@ def parse_skew(s: str) -> SkewDiagram:
         try:
             head, itv = piece.split(":")
             l, r = itv.split("..")
-            occ[int(head)] = (int(l), int(r))
+            i, l, r = int(head), int(l), int(r)
         except ValueError:
             raise ValueError(
                 f"bad row-interval at piece {pos} ({piece!r}) of {s!r}"
             ) from None
+        if l > r or i in occ:
+            problem = "reversed interval" if l > r else f"row {i} given twice"
+            raise ValueError(f"{problem} at piece {pos} ({piece!r}) of {s!r}")
+        occ[i] = (l, r)
     occ = {i: v for i, v in occ.items() if v[0] < v[1]}
     problem = occ_violation(occ)
     if problem is not None:

@@ -194,15 +194,17 @@ def test_criterion_8_cartan_matrices():
     entries = 0
     for r in range(2, 10):
         labels = labels_Lambda(r)
-        for nu in labels:
-            for mu in labels:
+        matrix = cartan_matrix(r).entries
+        for a, nu in enumerate(labels):
+            for b, mu in enumerate(labels):
                 s = cartan_mult_sum(r, nu, mu)
                 w = cartan_mult_witness(r, nu, mu)
                 entries += 1
-                if s != w or s not in (0, 1):
+                if s != w or s not in (0, 1) or s != matrix[a][b]:
                     ok = False
-                    detail = f"entry ({nu}, {mu}) r={r}: sum={s} witness={w}"
-    report("criterion 8: cartan sum equals witness with 0/1 entries, r <= 9",
+                    detail = (f"entry ({nu}, {mu}) r={r}: sum={s} witness={w} "
+                              f"matrix={matrix[a][b]}")
+    report("criterion 8: cartan sum equals witness and matrix, 0/1 entries, r <= 9",
            t0, ok, detail or f"entries={entries}")
 
 

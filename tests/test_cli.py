@@ -46,6 +46,28 @@ def test_parse_error_exit_code(capsys):
     assert code == 2  # containment failure
 
 
+def test_gamma_rejects_reversed_interval(capsys):
+    code, out, err = run(capsys, "gamma", "1:5..1")
+    assert code == 2
+    assert "reversed interval" in err and "'1:5..1'" in err
+    assert out == ""
+
+
+def test_gamma_rejects_repeated_row(capsys):
+    code, _, err = run(capsys, "gamma", "1:0..2;1:0..3")
+    assert code == 2
+    assert "row 1 given twice" in err and "'1:0..3'" in err
+    code, _, _ = run(capsys, "gamma", "1:1..2;2:3..3;3:0..1")
+    assert code == 0  # equal endpoints: an empty interior row
+
+
+def test_gen_rejects_negative_size(capsys):
+    code, out, err = run(capsys, "gen", "--max-size", "-3")
+    assert code == 2
+    assert "max_size" in err
+    assert out == ""
+
+
 def test_gen_roundtrip_and_flavors(capsys):
     outputs = {}
     for flavor in ("gamma", "upsilon", "upsilon-bar"):
@@ -104,6 +126,12 @@ def test_verify_tl_negative_range(capsys):
     code, out, _ = run(capsys, "verify-tl", "--r-max", "4", "--q-range", "-6:6")
     assert code == 0
     assert "0 violations" in out
+
+
+def test_verify_tl_bad_q_range(capsys):
+    code, _, err = run(capsys, "verify-tl", "--r-max", "4", "--q-range", "5:x")
+    assert code == 2
+    assert "--q-range" in err and "LO:HI" in err
 
 
 def test_verify_all_json(capsys):

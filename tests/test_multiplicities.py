@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from peribrauer import multiplicities
+from peribrauer.cli import main
 from peribrauer.multiplicities import (
     ConsistencyError,
     cartan_matrix,
@@ -131,6 +133,16 @@ def test_cartan_consistent_through_r7():
             for j, mu in enumerate(m.col_labels):
                 assert m.entries[i][j] in (0, 1)
                 assert m.entries[i][j] == cartan_mult_witness(r, nu, mu)
+
+
+@pytest.mark.parametrize("name", ["conjugate_skew", "conjugate"])
+def test_cartan_gate_catches_broken_form(monkeypatch, capsys, name):
+    # breaking the transpose in either form must make the two disagree
+    monkeypatch.setattr(multiplicities, name, lambda x: x)
+    with pytest.raises(ConsistencyError):
+        cartan_matrix(2)
+    assert main(["cartan-matrix", "--r", "2"]) == 1
+    assert "internal consistency failure" in capsys.readouterr().err
 
 
 def test_prop_diff2():

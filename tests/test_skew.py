@@ -199,6 +199,44 @@ def test_hook_stats():
         Hook(frozenset(BLOCK23.boxes()))  # repeated contents
 
 
+def _is_hook_reference(boxes) -> bool:
+    """Nonempty, edge-connected, pairwise distinct contents, and a skew
+    shape."""
+    if not boxes:
+        return False
+    seen, frontier = set(), [min(boxes)]
+    while frontier:
+        i, j = frontier.pop()
+        if (i, j) in seen:
+            continue
+        seen.add((i, j))
+        frontier += [b for b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                     if b in boxes]
+    if seen != boxes or len({j - i for i, j in boxes}) != len(boxes):
+        return False
+    try:
+        SkewDiagram.from_boxes(boxes)
+    except ValueError:
+        return False
+    return True
+
+
+def test_hook_check_matches_reference():
+    cells = [(i, j) for i in range(1, 4) for j in range(1, 5)]
+    accepted = 0
+    for bits in range(2 ** len(cells)):
+        boxes = frozenset(c for t, c in enumerate(cells) if bits >> t & 1)
+        expected = _is_hook_reference(boxes)
+        try:
+            Hook(boxes)
+            ok = True
+        except ValueError:
+            ok = False
+        assert ok == expected, sorted(boxes)
+        accepted += ok
+    assert accepted == 105  # ribbons inside a 3x4 box
+
+
 @pytest.mark.parametrize(
     "diagram,expected",
     [
