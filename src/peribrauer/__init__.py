@@ -67,7 +67,6 @@ from .multiplicities import (
     cartan_mult_witness,
     cell_matrix,
     cell_mult,
-    prop_diff2_check,
 )
 from .grothendieck import (
     apply_E,

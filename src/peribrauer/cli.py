@@ -1,18 +1,15 @@
 """Command-line surface for batch computation, verification and rendering.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
-The PERIBRAUER_WORKERS environment variable overrides --workers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 
-from . import arrows, grothendieck, multiplicities, procedures, skew
+from . import arrows, grothendieck, multiplicities, procedures, skew, verify
 from .partitions import format_partition, parse_partition
 
 
@@ -23,18 +20,12 @@ def _parse_diagram(literal: str | None, pair: str | None) -> skew.SkewDiagram:
         raise ValueError("give a diagram literal or --pair OUTER/INNER")
     if "/" in literal:
         outer_s, _, inner_s = literal.partition("/")
-        return skew.skew_from_pair(parse_partition(outer_s), parse_partition(inner_s))
+        k = skew.skew_from_pair(parse_partition(outer_s), parse_partition(inner_s))
+        # the pair's rows number no more than the literal's characters, so
+        # the limit can wait until the diagram is built
+        skew.check_input_limit(k.occ())
+        return k
     return skew.parse_skew(literal)
-
-
-def _workers(args) -> int:
-    env = os.environ.get("PERIBRAUER_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"PERIBRAUER_WORKERS must be an integer: {env!r}")
-    return max(1, args.workers)
 
 
 def cmd_gamma(args) -> int:
@@ -43,9 +34,8 @@ def cmd_gamma(args) -> int:
     print(f"diagram: {skew.format_skew(k)}")
     print("member" if member else "non-member")
     for h in skew.covering(k):
-        ok_hw = h.wd == h.ht + 1
-        m = h.min_box
-        ok_d = all(i + j >= m.row + m.col for i, j in h.boxes)
+        ok_hw = skew.width_condition(h)
+        ok_d = skew.diagonal_condition(h)
         boxes = ",".join(f"({i},{j})" for i, j in sorted(h.boxes))
         print(
             f"hook {boxes}: ht={h.ht} wd={h.wd} "
@@ -73,7 +63,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify_equivalence(args) -> int:
-    rep = procedures.equivalence_report(args.max_size, args.span_cap, _workers(args))
+    rep = procedures.equivalence_report(args.max_size, args.span_cap)
     print(
         f"checked {rep.diagrams_checked} diagrams (size <= {rep.max_size}, "
         f"span <= {rep.span_cap}): {rep.member_count} members, "
@@ -134,81 +124,37 @@ def cmd_verify_tl(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    workers = _workers(args)
-    results = {}
-    t0 = time.time()
-
-    rep = procedures.equivalence_report(args.max_size, workers=workers)
-    results["equivalence"] = {
-        "checked": rep.diagrams_checked,
-        "disagreements": len(rep.disagreements),
-        "ok": rep.ok,
-    }
-    witness = rep.disagreements[0] if rep.disagreements else None
-
-    d2 = multiplicities.prop_diff2_check(args.max_size)
-    results["rim_two_hooks"] = {
-        "checked": d2.pairs_checked,
-        "violations": len(d2.violations),
-        "ok": d2.ok,
-    }
-
-    flips_ok = True
-    flip_mismatch = None
-    from .partitions import partitions_of, subpartitions
-
-    pi_ok = True
-    pi_mismatch = None
-    for n in range(0, args.max_size + 1):
-        for mu in partitions_of(n):
-            w = arrows.weight_of_partition(mu)
-            for pair in arrows.wb_pairs(w):
-                fh = arrows.rim_hook_of_flip(mu, pair)
-                hook = skew.covering(skew.skew_from_pair(mu, fh.partition))[0]
-                if arrows.is_arrow_pair(w, pair) != skew.is_gamma0(hook):
-                    flips_ok, flip_mismatch = False, (mu, pair)
-            pis = arrows.pi_set(mu)
-            for lam in subpartitions(mu):
-                if (lam in pis) != skew.is_gamma(skew.skew_from_pair(mu, lam)):
-                    pi_ok, pi_mismatch = False, (mu, lam)
-    results["arrow_flips"] = {"ok": flips_ok}
-    results["flip_sets"] = {"ok": pi_ok}
-
-    tl = grothendieck.verify_tl(max(2, args.r_max), -args.max_size - 2, args.max_size + 2)
-    results["tl_relations"] = {
-        "checked": tl.checks,
-        "violations": len(tl.violations),
-        "ok": tl.ok,
-    }
-
-    cartan_ok = True
-    cartan_err = None
-    try:
-        for r in range(2, args.r_max + 1):
-            multiplicities.cartan_matrix(r)
-    except multiplicities.ConsistencyError as exc:
-        cartan_ok, cartan_err = False, str(exc)
-    results["cartan"] = {"ok": cartan_ok}
-
-    results["elapsed_seconds"] = round(time.time() - t0, 2)
-    ok = all(v.get("ok", True) for v in results.values() if isinstance(v, dict))
-
+    results = [check(args.max_size, args.r_max) for check in verify.REGISTRY.values()]
+    ok = all(res.ok for res in results)
     if args.format == "json":
-        print(json.dumps({"ok": ok, "checks": results}))
+        print(json.dumps({
+            "ok": ok,
+            "seconds": round(sum(res.seconds for res in results), 3),
+            "checks": {
+                res.name: {
+                    "params": res.params,
+                    "checked": res.checked,
+                    "violations": len(res.violations),
+                    "ok": res.ok,
+                    "seconds": round(res.seconds, 3),
+                    "counts": res.counts,
+                    "witness": res.violations[0] if res.violations else None,
+                }
+                for res in results
+            },
+        }))
     else:
-        for name, data in results.items():
-            if isinstance(data, dict):
-                print(f"{name}: {'pass' if data.get('ok') else 'FAIL'} {data}")
+        for res in results:
+            params = ", ".join(f"{key}={value}" for key, value in res.params.items())
+            counts = "".join(f" {key}={value}" for key, value in res.counts.items())
+            line = (f"{res.name}({params}): {'pass' if res.ok else 'FAIL'} "
+                    f"checked={res.checked}{counts} violations={len(res.violations)} "
+                    f"seconds={res.seconds:.2f}")
+            if res.violations:
+                line += " witness: " + " ".join(
+                    f"{key}={value}" for key, value in res.violations[0].items())
+            print(line)
         print(f"overall: {'pass' if ok else 'FAIL'}")
-        if witness is not None:
-            k = witness[0]
-            print(f"first witness: {skew.format_skew(k)}")
-        if flip_mismatch is not None:
-            print(f"flip witness: {flip_mismatch}")
-        if pi_mismatch is not None:
-            print(f"flip-set witness: {pi_mismatch}")
-        if cartan_err is not None:
-            print(f"cartan: {cartan_err}")
     return 0 if ok else 1
 
 
@@ -224,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Skew-diagram combinatorics and decomposition matrices "
         "of periplectic Brauer algebras.",
     )
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for verification commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gamma", help="membership verdict and covering diagnostics")
@@ -268,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-range", default="-8:8", help="LO:HI content range")
     p.set_defaults(fn=cmd_verify_tl)
 
-    p = sub.add_parser("verify-all", help="run every verification suite")
+    p = sub.add_parser("verify-all", help="run acceptance criteria 2-9")
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .partitions import (
     Partition,
@@ -24,7 +24,6 @@ from .partitions import (
     format_partition,
     labels_L,
     labels_Lambda,
-    partitions_of,
 )
 from .skew import conjugate_skew, is_gamma, skew_from_pair
 
@@ -132,48 +131,6 @@ def cartan_matrix(r: int) -> DecompositionMatrix:
                 )
     entries = tuple(tuple(total[nu, mu] for mu in labels) for nu in labels)
     return DecompositionMatrix(r, labels, labels, entries)
-
-
-@dataclass
-class Diff2Report:
-    max_n: int
-    pairs_checked: int = 0
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _two_box_extensions(lam: Partition) -> set[Partition]:
-    out = set()
-    base = list(lam) + [0, 0]
-    for i in range(len(base)):
-        one = base.copy()
-        one[i] += 1
-        if all(one[k] >= one[k + 1] for k in range(len(one) - 1)):
-            for j in range(len(one)):
-                two = one.copy()
-                two[j] += 1
-                if all(two[k] >= two[k + 1] for k in range(len(two) - 1)):
-                    out.add(tuple(x for x in two if x))
-    return out
-
-
-def prop_diff2_check(max_n: int) -> Diff2Report:
-    """For every lam of size <= max_n and every mu two boxes larger, the
-    cell multiplicity is 1 exactly when the two added boxes form a
-    horizontal domino."""
-    report = Diff2Report(max_n=max_n)
-    for n in range(0, max_n + 1):
-        for lam in partitions_of(n):
-            for mu in _two_box_extensions(lam):
-                report.pairs_checked += 1
-                diff = skew_from_pair(mu, lam)
-                expected = diff.rows == ((0, 2),)  # horizontal domino
-                if _gamma_pair(lam, mu) != expected:
-                    report.violations.append((lam, mu))
-    return report
 
 
 # ---------------------------------------------------------------------------

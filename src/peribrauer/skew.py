@@ -27,31 +27,19 @@ from .partitions import Box, Partition, contains, format_partition
 Occ = dict
 
 
-def _occ_valid(occ: Occ) -> bool:
-    items = sorted(occ.items())
-    for (a, (la, ra)), (b, (lb, rb)) in pairwise(items):
-        if b == a + 1:
-            if la < lb or ra < rb:
-                return False
-        elif la < rb:  # empty rows in between force left-above >= right-below
-            return False
-    return True
-
-
-def occ_violation(occ: Occ) -> Optional[str]:
-    """Why the row intervals fail to form a skew shape, or None."""
+def occ_violation(occ: Occ) -> Optional[tuple[str, int, int]]:
+    """Why the row intervals fail to form a skew shape, as a reason and the
+    pair of rows it concerns, or None.  The reason is a constant: callers
+    on the operator paths only test the result, so nothing is formatted."""
     items = sorted(occ.items())
     for (a, (la, ra)), (b, (lb, rb)) in pairwise(items):
         if b == a + 1:
             if la < lb:
-                return f"left endpoints increase from row {a} to row {b}"
+                return "left endpoints increase", a, b
             if ra < rb:
-                return f"right endpoints increase from row {a} to row {b}"
-        elif la < rb:
-            return (
-                f"row {b} reaches column {rb} right of the left end of row "
-                f"{a} across empty rows"
-            )
+                return "right endpoints increase", a, b
+        elif la < rb:  # empty rows in between force left-above >= right-below
+            return "columns overlap across empty rows", a, b
     return None
 
 
@@ -71,7 +59,7 @@ def _occ_from_boxes(boxes: Iterable[tuple[int, int]]) -> Occ:
         if hi - lo + 1 != len(set(cols)):
             raise ValueError(f"row {i} is not contiguous: {sorted(cols)}")
         occ[i] = (lo - 1, hi)
-    if not _occ_valid(occ):
+    if occ_violation(occ):
         raise ValueError("box set is not a skew diagram")
     return occ
 
@@ -89,7 +77,7 @@ def _occ_add(occ: Occ, i: int, j: int) -> Optional[Occ]:
             return None  # occupied or would break row contiguity
     else:
         new[i] = (j - 1, j)
-    return new if _occ_valid(new) else None
+    return None if occ_violation(new) else new
 
 
 def _occ_remove(occ: Occ, i: int, j: int) -> Optional[Occ]:
@@ -106,7 +94,7 @@ def _occ_remove(occ: Occ, i: int, j: int) -> Optional[Occ]:
         new[i] = (l, r - 1)
     else:
         return None
-    return new if _occ_valid(new) else None
+    return None if occ_violation(new) else new
 
 
 @dataclass(frozen=True, slots=True)
@@ -409,14 +397,23 @@ def disjoint_or_nested(a: frozenset, b: frozenset) -> bool:
     return hooks_disjoint(a, b) or hook_nested_in(a, b) or hook_nested_in(b, a)
 
 
-def is_gamma0(h: Hook) -> bool:
-    """Width equals height plus one, and the minimal box attains the
-    minimal anticontent of the hook."""
-    if h.wd != h.ht + 1:
-        return False
+def width_condition(h: Hook) -> bool:
+    """Width equals height plus one."""
+    return h.wd == h.ht + 1
+
+
+def diagonal_condition(h: Hook) -> bool:
+    """No box lies strictly above the diagonal through the minimal box:
+    the minimal box attains the minimal anticontent of the hook."""
     m = h.min_box
     a = m.row + m.col
     return all(i + j >= a for i, j in h.boxes)
+
+
+def is_gamma0(h: Hook) -> bool:
+    """Both hook conditions; the diagonal is tested only if the width
+    condition holds."""
+    return width_condition(h) and diagonal_condition(h)
 
 
 def is_gamma(k: SkewDiagram) -> bool:
@@ -547,7 +544,30 @@ def format_skew(k: SkewDiagram) -> str:
     return ";".join(f"{i + 1}:{l}..{r}" for i, (l, r) in enumerate(k.rows))
 
 
+# Largest box count and largest content span of a diagram given as text or
+# as a partition pair.  Together they bound its rows, its bounding box and
+# the work of every command on it: `from_occ` allocates one entry per row
+# index, the covering one entry per box, `render` one character per cell.
+INPUT_LIMIT = 1000
+
+
+def check_input_limit(occ: Occ) -> None:
+    """Raise ValueError if the row intervals hold more than INPUT_LIMIT
+    boxes or span more than INPUT_LIMIT contents."""
+    size = sum(r - l for l, r in occ.values())
+    span = (max((r - i for i, (_, r) in occ.items()), default=0)
+            - min((l + 1 - i for i, (l, _) in occ.items()), default=0))
+    if size > INPUT_LIMIT or span > INPUT_LIMIT:
+        raise ValueError(
+            f"diagram has {size} boxes and content span {span}; the input "
+            f"limit is {INPUT_LIMIT} boxes and content span {INPUT_LIMIT}"
+        )
+
+
 def parse_skew(s: str) -> SkewDiagram:
+    """Parse the row-interval syntax of `format_skew`, rejecting reversed
+    intervals, repeated rows, shapes that are not skew and diagrams over
+    INPUT_LIMIT."""
     t = s.strip()
     if t == "-":
         return EMPTY
@@ -567,8 +587,10 @@ def parse_skew(s: str) -> SkewDiagram:
         occ[i] = (l, r)
     occ = {i: v for i, v in occ.items() if v[0] < v[1]}
     problem = occ_violation(occ)
-    if problem is not None:
-        raise ValueError(f"not a skew diagram ({problem}): {s!r}")
+    if problem:
+        reason, a, b = problem
+        raise ValueError(f"not a skew diagram ({reason} from row {a} to row {b}): {s!r}")
+    check_input_limit(occ)
     return SkewDiagram.from_occ(occ)
 
 

@@ -1,40 +1,28 @@
-"""Acceptance suite: one test per criterion, exact tolerances throughout.
+"""Acceptance suite: one test per criterion, exact tolerances throughout,
+and every registry check at small sizes.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one timed
-pass/fail line per criterion.  Universes of skew diagrams are always
-bounded by box count and content span (default span cap: max size + 1);
-without a span bound the families are infinite, since connected
-components may sit arbitrarily far apart.
+pass/fail line per criterion.  Criteria 2-9 run the checks of
+`peribrauer.verify` at pinned sizes and assert their exact counts;
+criterion 1 and the r = 2 Cartan matrix are frozen data.  Universes of
+skew diagrams are always bounded by box count and content span (default
+span cap: max size + 1); without a span bound the families are infinite,
+since connected components may sit arbitrarily far apart.
 """
 
 import time
-from itertools import combinations
 
-from peribrauer.arrows import (
-    is_arrow_pair,
-    pi_set,
-    rim_hook_of_flip,
-    wb_pairs,
-    weight_of_partition,
-)
-from peribrauer.grothendieck import verify_tl
-from peribrauer.multiplicities import (
-    cartan_matrix,
-    cartan_mult_sum,
-    cartan_mult_witness,
-    prop_diff2_check,
-)
-from peribrauer.partitions import labels_Lambda, partitions_of, subpartitions
-from peribrauer.procedures import equivalence_report, generate_upsilon
+import pytest
+
+from peribrauer import verify
+from peribrauer.arrows import pi_set
+from peribrauer.multiplicities import cartan_matrix
+from peribrauer.procedures import generate_upsilon
 from peribrauer.skew import (
     SkewDiagram,
     components,
-    covering,
     enumerate_skew_diagrams,
-    hook_decompositions,
     is_gamma,
-    is_gamma0,
-    skew_from_pair,
 )
 
 NINE_CONNECTED = {
@@ -50,9 +38,9 @@ NINE_CONNECTED = {
 }
 
 
-def report(name, t0, ok, detail=""):
+def report(name, seconds, ok, detail=""):
     status = "PASS" if ok else "FAIL"
-    print(f"[{status}] {name} ({time.time() - t0:.1f}s) {detail}")
+    print(f"[{status}] {name} ({seconds:.1f}s) {detail}")
     assert ok, f"{name}: {detail}"
 
 
@@ -73,149 +61,64 @@ def test_criterion_1_size_six_members():
     ok = ok and SkewDiagram(()) in sets["gamma"]
     report(
         "criterion 1: the nine connected members of size <= 6, box-exact",
-        t0, ok, f"members={len(sets['gamma'])}",
+        time.time() - t0, ok, f"members={len(sets['gamma'])}",
     )
+
+
+def check(title, res, checked, **counts):
+    """Report one registry check, requiring it to pass with exactly the
+    pinned counts."""
+    ok = res.ok and res.checked == checked and counts.items() <= res.counts.items()
+    report(title, res.seconds, ok, " ".join(
+        [f"checked={res.checked}"] + [f"{k}={v}" for k, v in res.counts.items()]
+        + [f"witness={w}" for w in res.violations[:1]]))
 
 
 def test_criterion_2_equivalence_size_ten():
-    t0 = time.time()
-    rep = equivalence_report(10)
-    detail = (
-        f"diagrams={rep.diagrams_checked} members={rep.member_count} "
-        f"disagreements={len(rep.disagreements)}"
-    )
     # regression values for the default universe (span cap 11)
-    frozen = (rep.diagrams_checked, rep.member_count) == (144327, 892)
-    report("criterion 2: three descriptions agree on all diagrams of size <= 10",
-           t0, rep.ok and frozen, detail)
+    check("criterion 2: three descriptions agree on all diagrams of size <= 10",
+          verify.equivalence(10), 144327, members=892)
 
 
 def test_criterion_3_flip_sets_match_membership():
-    t0 = time.time()
     assert {(3,), (1,)} <= pi_set((3, 2))
-    checked = 0
-    bad = []
-    for n in range(0, 13):
-        for mu in partitions_of(n):
-            pis = pi_set(mu)
-            for lam in subpartitions(mu):
-                checked += 1
-                if (lam in pis) != is_gamma(skew_from_pair(mu, lam)):
-                    bad.append((mu, lam))
-    report("criterion 3: flip sets equal membership for all |mu| <= 12",
-           t0, not bad, f"pairs={checked} mismatches={len(bad)}")
+    check("criterion 3: flip sets equal membership for all |mu| <= 12",
+          verify.flip_sets(12), 8855)
 
 
 def test_criterion_4_arrow_pairs_match_hooks():
-    t0 = time.time()
-    checked = 0
-    bad = []
-    for n in range(0, 13):
-        for mu in partitions_of(n):
-            w = weight_of_partition(mu)
-            for pair in wb_pairs(w):
-                checked += 1
-                fh = rim_hook_of_flip(mu, pair)
-                cov = covering(skew_from_pair(mu, fh.partition))
-                if len(cov) != 1:
-                    bad.append((mu, pair, "not a single hook"))
-                    continue
-                h = cov[0]
-                boxes = sorted(h.boxes, key=lambda b: b[1] - b[0])
-                acs = [i + j for i, j in boxes]
-                deltas = tuple(a - acs[0] for a in acs)
-                if (
-                    (h.ht, h.wd) != (fh.ht, fh.wd)
-                    or deltas != fh.anticontent_deltas
-                    or is_arrow_pair(w, pair) != is_gamma0(h)
-                ):
-                    bad.append((mu, pair, "statistics disagree"))
-    report("criterion 4: every flip removes the predicted rim hook, |mu| <= 12",
-           t0, not bad, f"flips={checked} mismatches={len(bad)}")
+    check("criterion 4: every flip removes the predicted rim hook, |mu| <= 12",
+          verify.arrow_flips(12), 2646)
 
 
 def test_criterion_5_rim_two_hooks():
-    t0 = time.time()
-    rep = prop_diff2_check(10)
-    report("criterion 5: two-box multiplicities are horizontal dominoes only",
-           t0, rep.ok, f"pairs={rep.pairs_checked}")
+    check("criterion 5: two-box multiplicities are horizontal dominoes only",
+          verify.rim_two_hooks(10), 972)
 
 
 def test_criterion_6_vertical_domino_additions():
-    t0 = time.time()
-    checked = 0
-    bad = []
-    # a vertical domino is never a member, covering the empty base case
-    vertical = SkewDiagram(((0, 1), (0, 1)))
-    assert not is_gamma(vertical)
-    for k in enumerate_skew_diagrams(10):
-        # adding with nothing above or left can keep at most one of the
-        # two diagrams a member, which is vacuous unless the base is one
-        if k.is_empty or not is_gamma(k):
-            continue
-        occ = k.occ()
-        boxes = set(k.boxes())
-        rows = sorted(occ)
-        cols = [c for l, r in occ.values() for c in (l, r + 1)]
-        for i in range(rows[0] - 2, rows[-1] + 2):
-            for j in range(min(cols) - 1, max(cols) + 2):
-                pair = {(i, j), (i + 1, j)}
-                if pair & boxes:
-                    continue
-                if any(
-                    (bi < i and bj == j) or (bi in (i, i + 1) and bj < j)
-                    for bi, bj in boxes
-                ):
-                    continue
-                try:
-                    k2 = SkewDiagram.from_boxes(boxes | pair)
-                except ValueError:
-                    continue
-                checked += 1
-                if is_gamma(k2):
-                    bad.append((k, (i, j)))
-    report("criterion 6: no admissible vertical domino keeps membership, size <= 10",
-           t0, not bad, f"additions={checked}")
+    check("criterion 6: no admissible vertical domino keeps membership, size <= 10",
+          verify.vertical_dominoes(10), 6485)
 
 
 def test_criterion_7_operator_relations():
-    t0 = time.time()
-    rep = verify_tl(10, -12, 12)
-    report("criterion 7: operator relations hold for r <= 10, q in [-12, 12]",
-           t0, rep.ok, f"checks={rep.checks} violations={len(rep.violations)}")
+    check("criterion 7: operator relations hold for r <= 10, q in [-12, 12]",
+          verify.tl_relations(10, -12, 12), 88101)
 
 
 def test_criterion_8_cartan_matrices():
-    t0 = time.time()
-    ok = True
-    detail = ""
     m2 = cartan_matrix(2)
-    ok = m2.entries == ((1, 0), (1, 1)) and m2.row_labels == ((2,), (1, 1))
-    entries = 0
-    for r in range(2, 10):
-        labels = labels_Lambda(r)
-        matrix = cartan_matrix(r).entries
-        for a, nu in enumerate(labels):
-            for b, mu in enumerate(labels):
-                s = cartan_mult_sum(r, nu, mu)
-                w = cartan_mult_witness(r, nu, mu)
-                entries += 1
-                if s != w or s not in (0, 1) or s != matrix[a][b]:
-                    ok = False
-                    detail = (f"entry ({nu}, {mu}) r={r}: sum={s} witness={w} "
-                              f"matrix={matrix[a][b]}")
-    report("criterion 8: cartan sum equals witness and matrix, 0/1 entries, r <= 9",
-           t0, ok, detail or f"entries={entries}")
+    assert m2.entries == ((1, 0), (1, 1)) and m2.row_labels == ((2,), (1, 1))
+    check("criterion 8: cartan sum equals witness and matrix, 0/1 entries, r <= 9",
+          verify.cartan(9), 5926)
 
 
 def test_criterion_9_covering_uniqueness():
-    t0 = time.time()
-    checked = 0
-    bad = []
-    for k in enumerate_skew_diagrams(8):
-        decs = hook_decompositions(k, limit=2)
-        checked += 1
-        if len(decs) != 1 or decs[0] != frozenset(h.boxes for h in covering(k)):
-            bad.append(k)
-    report("criterion 9: unique hook decomposition equals the covering, size <= 8",
-           t0, not bad, f"diagrams={checked}")
+    check("criterion 9: unique hook decomposition equals the covering, size <= 8",
+          verify.covering_uniqueness(8), 13046)
+
+
+@pytest.mark.parametrize("name", list(verify.REGISTRY))
+def test_registry_checks_pass_small(name):
+    res = verify.REGISTRY[name](5, 4)
+    assert res.name == name and res.ok and res.checked > 0, res.violations[:1]

@@ -9,7 +9,6 @@ from peribrauer.arrows import (
     arrow_pairs,
     arrows_cross,
     flip,
-    is_arrow_pair,
     partition_of_weight,
     pi_set,
     render_arrow_diagram,
@@ -17,8 +16,9 @@ from peribrauer.arrows import (
     wb_pairs,
     weight_of_partition,
 )
-from peribrauer.partitions import conjugate, partitions_of, subpartitions
-from peribrauer.skew import covering, is_gamma, is_gamma0, skew_from_pair
+from peribrauer.partitions import conjugate, partitions_of
+from peribrauer.skew import covering, skew_from_pair
+from peribrauer.verify import arrow_flips, flip_sets
 
 partitions = st.lists(st.integers(1, 7), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -117,37 +117,17 @@ def test_adjacent_pair_removes_single_box():
                 assert sum(fh.partition) == sum(mu) - 1
 
 
-def geometric_hook_stats(mu, lam):
-    hook = covering(skew_from_pair(mu, lam))
-    assert len(hook) == 1
-    h = hook[0]
-    boxes = sorted(h.boxes, key=lambda b: b[1] - b[0])
-    acs = [i + j for i, j in boxes]
-    return h, (h.ht, h.wd), tuple(a - acs[0] for a in acs)
-
-
 def test_flip_matches_geometry():
     # every wb-pair flip removes one rim hook whose height, width and
     # anticontent profile match the dot-count predictions, and whose
     # membership matches the arrow-pair test
-    for n in range(0, 10):
-        for mu in partitions_of(n):
-            w = weight_of_partition(mu)
-            for pair in wb_pairs(w):
-                fh = rim_hook_of_flip(mu, pair)
-                assert sum(fh.partition) == n - (fh.ht + fh.wd - 1)
-                h, stats, deltas = geometric_hook_stats(mu, fh.partition)
-                assert stats == (fh.ht, fh.wd)
-                assert deltas == fh.anticontent_deltas
-                assert is_arrow_pair(w, pair) == is_gamma0(h)
+    rep = arrow_flips(9)
+    assert rep.ok and rep.checked > 0, rep.violations[:1]
 
 
 def test_pi_matches_gamma():
-    for n in range(0, 10):
-        for mu in partitions_of(n):
-            pis = pi_set(mu)
-            for lam in subpartitions(mu):
-                assert (lam in pis) == is_gamma(skew_from_pair(mu, lam)), (mu, lam)
+    rep = flip_sets(9)
+    assert rep.ok and rep.checked > 0, rep.violations[:1]
 
 
 def test_arrows_never_cross():

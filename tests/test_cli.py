@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from peribrauer import skew, verify
 from peribrauer.cli import main
-from peribrauer.skew import format_skew, parse_skew
+from peribrauer.skew import INPUT_LIMIT, format_skew, parse_skew
 
 
 def run(capsys, *argv):
@@ -140,7 +141,21 @@ def test_verify_all_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True
-    assert data["checks"]["equivalence"]["disagreements"] == 0
+    assert list(data["checks"]) == list(verify.REGISTRY)
+    assert data["checks"]["equivalence"]["violations"] == 0
+
+
+def test_verify_all_reports_corrupted_membership(capsys, monkeypatch):
+    # the hook of (3,1) passes without the diagonal condition; the other
+    # checks still run
+    monkeypatch.setattr(skew, "is_gamma0", lambda h: h.wd == h.ht + 1)
+    code, out, _ = run(capsys, "verify-all", "--max-size", "4", "--r-max", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == len(verify.REGISTRY) + 1
+    (line,) = [line for line in lines if line.startswith("equivalence(")]
+    assert "FAIL" in line and "witness: diagram=" in line
+    assert lines[-1] == "overall: FAIL"
 
 
 def test_verify_all_trivially_small(capsys):
@@ -155,11 +170,16 @@ def test_render_contents(capsys):
     assert out == ".12\n90.\n"
 
 
-def test_workers_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PERIBRAUER_WORKERS", "2")
-    code, out, _ = run(capsys, "verify-equivalence", "--max-size", "4")
-    assert code == 0
-    assert "0 disagreements" in out
+@pytest.mark.parametrize("argv", [
+    ["gamma", "1:5..6;100000000:0..1"],  # two boxes, far apart rows
+    ["gamma", "--pair", "[100000000]/[]"],  # one long row as a pair
+    ["render", "1:0..100000000"],  # one long row as a literal
+])
+def test_oversized_diagram_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"input limit is {INPUT_LIMIT}" in err
+    assert out == ""
 
 
 def test_missing_diagram_is_usage_error(capsys):

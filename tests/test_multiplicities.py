@@ -14,7 +14,6 @@ from peribrauer.multiplicities import (
     matrix_csv,
     matrix_json,
     matrix_text,
-    prop_diff2_check,
 )
 from peribrauer.partitions import (
     add_q,
@@ -25,6 +24,7 @@ from peribrauer.partitions import (
     contains,
 )
 from peribrauer.skew import is_gamma, skew_from_pair
+from peribrauer.verify import rim_two_hooks
 
 
 def test_cell_mult_r2():
@@ -143,12 +143,17 @@ def test_cartan_gate_catches_broken_form(monkeypatch, capsys, name):
         cartan_matrix(2)
     assert main(["cartan-matrix", "--r", "2"]) == 1
     assert "internal consistency failure" in capsys.readouterr().err
+    # verify-all reports it as a violation of the cartan check alone
+    assert main(["verify-all", "--max-size", "2", "--r-max", "2"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(failed) == 2 and failed[0].startswith("cartan(")
+    assert "witness: r=2 error=cartan entry" in failed[0]
 
 
 def test_prop_diff2():
-    rep = prop_diff2_check(8)
+    rep = rim_two_hooks(8)
     assert rep.ok
-    assert rep.pairs_checked > 0
+    assert rep.checked > 0
     # spot values
     assert cell_mult(4, (2,), (2, 2)) == 1
     assert cell_mult(3, (1,), (1, 1, 1)) == 0

@@ -137,13 +137,9 @@ def test_equivalence_small():
     assert rep.member_count == 33
 
 
-def test_equivalence_workers_match():
-    seq = equivalence_report(5)
-    par = equivalence_report(5, workers=2)
-    assert seq.ok and par.ok
-    assert (seq.diagrams_checked, seq.member_count) == (
-        par.diagrams_checked, par.member_count
-    )
+def test_equivalence_rejects_workers():
+    with pytest.raises(ValueError, match="workers"):
+        equivalence_report(2, workers=2)
 
 
 def test_corrupted_membership_is_caught(monkeypatch):

@@ -16,7 +16,6 @@ from peribrauer.skew import (
     disjoint_or_nested,
     enumerate_skew_diagrams,
     format_skew,
-    hook_decompositions,
     is_gamma,
     is_gamma0,
     parse_skew,
@@ -25,6 +24,7 @@ from peribrauer.skew import (
     u_addable,
     u_removable,
 )
+from peribrauer.verify import covering_uniqueness, vertical_dominoes
 
 # the nine connected nonzero members with at most six boxes
 DOMINO = SkewDiagram(((0, 2),))
@@ -310,38 +310,15 @@ def test_covering_is_covering():
 
 
 def test_covering_uniqueness_small():
-    for k in enumerate_skew_diagrams(6):
-        decs = hook_decompositions(k, limit=3)
-        assert len(decs) == 1
-        assert decs[0] == frozenset(h.boxes for h in covering(k))
+    rep = covering_uniqueness(6)
+    assert rep.ok and rep.checked > 0, rep.violations[:1]
 
 
 def test_vertical_domino_lemma_small():
     # adding a column pair with nothing above or left never keeps both
     # diagrams members
-    for k in enumerate_skew_diagrams(6):
-        if not is_gamma(k):
-            continue
-        occ = k.occ()
-        rows = sorted(occ) if occ else []
-        lo = rows[0] - 2 if rows else 0
-        hi = rows[-1] + 2 if rows else 2
-        cols = [c for l, r in occ.values() for c in (l, r + 1)] or [1]
-        for i in range(lo, hi + 1):
-            for j in range(min(cols) - 1, max(cols) + 2):
-                boxes = set(k.boxes())
-                pair = {(i, j), (i + 1, j)}
-                if pair & boxes or not brute_is_skew(boxes | pair):
-                    continue
-                blocked = any(
-                    (bi < i and bj == j) or (bi in (i, i + 1) and bj < j)
-                    for bi, bj in boxes
-                )
-                if blocked:
-                    continue
-                assert not is_gamma(SkewDiagram.from_boxes(boxes | pair)), (
-                    k.rows, (i, j),
-                )
+    rep = vertical_dominoes(6)
+    assert rep.ok and rep.checked > 0, rep.violations[:1]
 
 
 def test_enumerate_counts_small():
@@ -386,6 +363,26 @@ def test_format_parse_roundtrip():
     assert format_skew(EMPTY) == "-"
     with pytest.raises(ValueError):
         parse_skew("1:0..2;2:0..3")  # widens downward
+
+
+@given(st.sampled_from(list(enumerate_skew_diagrams(6))), st.data())
+def test_parse_roundtrip_and_malformed_mutations(k, data):
+    text = format_skew(k)
+    assert parse_skew(text) == k
+    if k.is_empty:
+        return
+    pieces = text.split(";")
+    i = data.draw(st.sampled_from([i for i, (l, r) in enumerate(k.rows) if l < r]))
+    (l, r), n, (ln, rn) = k.rows[i], len(k.rows), k.rows[-1]
+    mutations = [
+        pieces[:i] + [f"{i + 1}:{r}..{l}"] + pieces[i + 1:],  # reversed row
+        pieces + [pieces[i]],  # repeated row
+        pieces + [f"{n + 1}:{ln}..{rn + 1}"],  # overlaps the last row on the right
+        pieces + [f"{n + 2}:{ln}..{ln + 1}"],  # overlaps it across an empty row
+    ]
+    for mutation in mutations:
+        with pytest.raises(ValueError):
+            parse_skew(";".join(mutation))
 
 
 def test_render():
