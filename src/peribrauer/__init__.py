@@ -37,16 +37,11 @@ from .skew import (
     u_removable,
 )
 from .procedures import (
-    AnchoredSkew,
     equivalence_report,
     generate_upsilon,
-    op_E,
     op_E_all,
-    op_Ebar,
     op_Ebar_all,
-    op_P,
     op_P_all,
-    op_Pbar,
     op_Pbar_all,
 )
 from .arrows import (

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import arrows, grothendieck, multiplicities, procedures, skew, verify
+from . import arrows, multiplicities, procedures, skew, verify
 from .partitions import format_partition, parse_partition
 
 
@@ -20,11 +20,7 @@ def _parse_diagram(literal: str | None, pair: str | None) -> skew.SkewDiagram:
         raise ValueError("give a diagram literal or --pair OUTER/INNER")
     if "/" in literal:
         outer_s, _, inner_s = literal.partition("/")
-        k = skew.skew_from_pair(parse_partition(outer_s), parse_partition(inner_s))
-        # the pair's rows number no more than the literal's characters, so
-        # the limit can wait until the diagram is built
-        skew.check_input_limit(k.occ())
-        return k
+        return skew.skew_from_pair(parse_partition(outer_s), parse_partition(inner_s))
     return skew.parse_skew(literal)
 
 
@@ -63,17 +59,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify_equivalence(args) -> int:
-    rep = procedures.equivalence_report(args.max_size, args.span_cap)
-    print(
-        f"checked {rep.diagrams_checked} diagrams (size <= {rep.max_size}, "
-        f"span <= {rep.span_cap}): {rep.member_count} members, "
-        f"{rep.connected_nonzero_members} connected nonzero, "
-        f"{len(rep.disagreements)} disagreements"
-    )
-    for k, g, u, b in rep.disagreements:
-        print(f"witness {skew.format_skew(k)}: covering={g} plain={u} barred={b}")
-        return 1
-    return 0
+    return _print_check(verify.equivalence(args.max_size, args.span_cap))
 
 
 def cmd_arrows(args) -> int:
@@ -112,15 +98,26 @@ def cmd_verify_tl(args) -> int:
         lo, hi = map(int, args.q_range.split(":"))
     except ValueError:
         raise ValueError(f"--q-range must be LO:HI (integers): {args.q_range!r}") from None
-    rep = grothendieck.verify_tl(args.r_max, lo, hi)
-    print(f"{rep.checks} relation instances checked, {len(rep.violations)} violations")
-    for relation, r, lam, q, p, lhs, rhs in rep.violations:
-        print(
-            f"violation {relation} on [W_{r}({format_partition(lam)})] "
-            f"q={q} p={p}: {lhs} != {rhs}"
-        )
-        return 1
-    return 0
+    return _print_check(verify.tl_relations(args.r_max, lo, hi))
+
+
+def _check_line(res: verify.CheckResult) -> str:
+    """One text line per check: params, counts, violations, seconds and
+    the first witness."""
+    params = ", ".join(f"{key}={value}" for key, value in res.params.items())
+    counts = "".join(f" {key}={value}" for key, value in res.counts.items())
+    line = (f"{res.name}({params}): {'pass' if res.ok else 'FAIL'} "
+            f"checked={res.checked}{counts} violations={len(res.violations)} "
+            f"seconds={res.seconds:.2f}")
+    if res.violations:
+        line += " witness: " + " ".join(
+            f"{key}={value}" for key, value in res.violations[0].items())
+    return line
+
+
+def _print_check(res: verify.CheckResult) -> int:
+    print(_check_line(res))
+    return 0 if res.ok else 1
 
 
 def cmd_verify_all(args) -> int:
@@ -145,15 +142,7 @@ def cmd_verify_all(args) -> int:
         }))
     else:
         for res in results:
-            params = ", ".join(f"{key}={value}" for key, value in res.params.items())
-            counts = "".join(f" {key}={value}" for key, value in res.counts.items())
-            line = (f"{res.name}({params}): {'pass' if res.ok else 'FAIL'} "
-                    f"checked={res.checked}{counts} violations={len(res.violations)} "
-                    f"seconds={res.seconds:.2f}")
-            if res.violations:
-                line += " witness: " + " ".join(
-                    f"{key}={value}" for key, value in res.violations[0].items())
-            print(line)
+            print(_check_line(res))
         print(f"overall: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 

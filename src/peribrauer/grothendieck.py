@@ -44,15 +44,20 @@ def basis_class(r: int, lam: Partition) -> ClassVector:
     return check_vector({(r, tuple(lam)): 1})
 
 
+def _bump(out: ClassVector, key, coeff: int) -> None:
+    """Add coeff to out[key] in place, dropping the key when it cancels."""
+    new = out.get(key, 0) + coeff
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
+
+
 def vec_add(*vectors: ClassVector) -> ClassVector:
     out: ClassVector = {}
     for v in vectors:
         for key, coeff in v.items():
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            _bump(out, key, coeff)
     return out
 
 
@@ -63,24 +68,16 @@ def vec_scale(c: int, v: ClassVector) -> ClassVector:
 def apply_Rq(v: ClassVector, q: int) -> ClassVector:
     """Linear extension of the grade-lowering action at content q."""
     out: ClassVector = {}
-
-    def bump(key, coeff):
-        new = out.get(key, 0) + coeff
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-
     for (r, lam), coeff in v.items():
         if r <= 2:
             continue
         removed = remove_q(lam, q)
         if removed is not None:
-            bump((r - 1, removed), coeff)
+            _bump(out, (r - 1, removed), coeff)
         if size(lam) < r:
             added = add_q(lam, q)
             if added is not None:
-                bump((r - 1, added), coeff)
+                _bump(out, (r - 1, added), coeff)
     return out
 
 
@@ -89,14 +86,8 @@ def apply_E(v: ClassVector) -> ClassVector:
     grades below 4."""
     out: ClassVector = {}
     for (r, lam), coeff in v.items():
-        if r < 4 or size(lam) >= r:
-            continue
-        key = (r - 2, lam)
-        new = out.get(key, 0) + coeff
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
+        if r >= 4 and size(lam) < r:
+            _bump(out, (r - 2, lam), coeff)
     return out
 
 
@@ -156,11 +147,5 @@ def random_vector(r_max: int, rng: random.Random, terms: int = 4) -> ClassVector
     for _ in range(terms):
         r = rng.randint(2, r_max)
         lam = rng.choice(labels_L(r))
-        coeff = rng.choice([-2, -1, 1, 2, 3])
-        key = (r, lam)
-        new = out.get(key, 0) + coeff
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
+        _bump(out, (r, lam), rng.choice([-2, -1, 1, 2, 3]))
     return out

@@ -13,6 +13,15 @@ from typing import Iterator, NamedTuple, Optional
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
+# Largest box count of a partition, and largest box count and content span
+# of a skew diagram, given as text.  Together they bound its rows, its
+# bounding box and the work of every command on it: `from_occ` allocates
+# one entry per row index, the covering one entry per box, `render` one
+# character per cell.  A pair OUTER/INNER lies inside OUTER, so the bound
+# on OUTER bounds the pair.  The flip set of `pi_set` is not bounded by
+# it: it has up to 2^(arrow sources) members.
+INPUT_LIMIT = 1000
+
 
 class Box(NamedTuple):
     row: int
@@ -197,4 +206,9 @@ def parse_partition(s: str) -> Partition:
         parts = tuple(int(x) for x in body.split(","))
     except ValueError:
         raise ValueError(f"bad partition literal: {s!r}") from None
-    return check_partition(parts)
+    p = check_partition(parts)
+    if sum(p) > INPUT_LIMIT:
+        raise ValueError(
+            f"partition has {sum(p)} boxes; the input limit is {INPUT_LIMIT} boxes"
+        )
+    return p

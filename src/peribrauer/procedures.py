@@ -1,13 +1,20 @@
 """Push-down and extend operators on skew diagrams, and the closures they
 generate.
 
-With a content normalisation fixed (an `AnchoredSkew`), the operator P_q
-moves the chain of q-boxes one step down its diagonal: it needs a
-d-addable q-box whose addition leaves a u-removable q-box elsewhere, adds
-the former and removes the latter.  E_q extends the diagram by a
-u-addable (q-1)-box on the upper rim followed by a d-addable q-box on the
-lower rim.  The barred variants additionally require the result to admit
-no d-addable (q+1)-box (for P) or (q-1)-box (for E).
+Each operator takes a canonical diagram k and a content q relative to its
+canonical frame, where box (1, 1) has content 0, and returns the set of
+all its outcomes; the empty set encodes failure.  An extension of the
+empty diagram has one outcome for every q, since all placements of the
+first box are translates of one another, and a far extension can have
+several (detached placements).
+
+The operator P_q moves the chain of q-boxes one step down its diagonal:
+it needs a d-addable q-box whose addition leaves a u-removable q-box
+elsewhere, adds the former and removes the latter.  E_q extends the
+diagram by a u-addable (q-1)-box on the upper rim followed by a
+d-addable q-box on the lower rim.  The barred variants additionally
+require the result to admit no d-addable (q+1)-box (for P) or (q-1)-box
+(for E).
 
 Closing {empty} under the plain operators gives one family, under the
 barred operators another; `equivalence_report` checks both against the
@@ -20,7 +27,7 @@ the reachable set is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional
 
 from .skew import (
     EMPTY,
@@ -36,23 +43,6 @@ from .skew import (
 )
 
 
-class AnchoredSkew(NamedTuple):
-    """A skew diagram with a chosen content normalisation: the box at
-    relative position (1, 1) would have content `content_offset`."""
-
-    diagram: SkewDiagram
-    content_offset: int = 0
-
-
-Anchorable = Union[AnchoredSkew, SkewDiagram]
-
-
-def _coerce(k: Anchorable) -> AnchoredSkew:
-    if isinstance(k, SkewDiagram):
-        return AnchoredSkew(k, 0)
-    return k
-
-
 def _op_p_raw(occ: Occ, c: int) -> list[Occ]:
     """All outcomes of the push-down at relative content c (at most one)."""
     out = []
@@ -64,9 +54,8 @@ def _op_p_raw(occ: Occ, c: int) -> list[Occ]:
     return out
 
 
-def _op_e_raw(occ: Occ, c: int) -> list[tuple[Occ, Occ]]:
-    """All outcomes of the extension at relative content c, paired with the
-    intermediate diagram holding only the first new box."""
+def _op_e_raw(occ: Occ, c: int) -> list[Occ]:
+    """All outcomes of the extension at relative content c."""
     if not occ:
         # all placements of the first box are translates of one another
         mids = [{1: (c - 1, c)}]  # a single box of content c - 1
@@ -75,86 +64,48 @@ def _op_e_raw(occ: Occ, c: int) -> list[tuple[Occ, Occ]]:
             _occ_add(occ, *b2)
             for b2 in _addable_positions(occ, c - 1, down=False)
         ]
-    out = []
-    for occ2 in mids:
-        for b1 in _addable_positions(occ2, c, down=True):
-            out.append((occ2, _occ_add(occ2, *b1)))
-    return out
+    return [
+        _occ_add(occ2, *b1)
+        for occ2 in mids
+        for b1 in _addable_positions(occ2, c, down=True)
+    ]
 
 
 def _no_d_addable(occ: Occ, c: int) -> bool:
     return not occ or not _addable_positions(occ, c, down=True)
 
 
-def op_P_all(k: Anchorable, q: int) -> set[SkewDiagram]:
-    k = _coerce(k)
-    if k.diagram.is_empty:
+def op_P_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
+    """Push the q-boxes one step down their diagonal."""
+    if k.is_empty:
         return set()
-    c = q - k.content_offset
-    return {SkewDiagram.from_occ(o) for o in _op_p_raw(k.diagram.occ(), c)}
+    return {SkewDiagram.from_occ(o) for o in _op_p_raw(k.occ(), q)}
 
 
-def op_E_all(k: Anchorable, q: int) -> set[SkewDiagram]:
-    k = _coerce(k)
-    c = q - k.content_offset
-    return {SkewDiagram.from_occ(o) for _, o in _op_e_raw(k.diagram.occ(), c)}
+def op_E_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
+    """Extend by a (q-1)-box on the upper rim and a q-box on the lower
+    rim."""
+    return {SkewDiagram.from_occ(o) for o in _op_e_raw(k.occ(), q)}
 
 
-def op_Pbar_all(k: Anchorable, q: int) -> set[SkewDiagram]:
-    k = _coerce(k)
-    if k.diagram.is_empty:
+def op_Pbar_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
+    """op_P_all, keeping the outcomes that admit no d-addable (q+1)-box."""
+    if k.is_empty:
         return set()
-    c = q - k.content_offset
     return {
         SkewDiagram.from_occ(o)
-        for o in _op_p_raw(k.diagram.occ(), c)
-        if _no_d_addable(o, c + 1)
+        for o in _op_p_raw(k.occ(), q)
+        if _no_d_addable(o, q + 1)
     }
 
 
-def op_Ebar_all(k: Anchorable, q: int) -> set[SkewDiagram]:
-    k = _coerce(k)
-    c = q - k.content_offset
+def op_Ebar_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
+    """op_E_all, keeping the outcomes that admit no d-addable (q-1)-box."""
     return {
         SkewDiagram.from_occ(o)
-        for _, o in _op_e_raw(k.diagram.occ(), c)
-        if _no_d_addable(o, c - 1)
+        for o in _op_e_raw(k.occ(), q)
+        if _no_d_addable(o, q - 1)
     }
-
-
-def _single(results: set[SkewDiagram], name: str) -> SkewDiagram:
-    if not results:
-        return EMPTY
-    if len(results) > 1:
-        raise ValueError(
-            f"{name} has {len(results)} inequivalent outcomes (detached "
-            f"placements); use the *_all variant"
-        )
-    return next(iter(results))
-
-
-def op_P(k: Anchorable, q: int) -> SkewDiagram:
-    """Push the q-boxes one step down their diagonal; the empty diagram
-    encodes failure."""
-    return _single(op_P_all(k, q), "op_P")
-
-
-def op_E(k: Anchorable, q: int) -> SkewDiagram:
-    """Extend by a (q-1)-box on the upper rim and a q-box on the lower rim;
-    the empty diagram encodes failure."""
-    return _single(op_E_all(k, q), "op_E")
-
-
-def op_Pbar(k: Anchorable, q: int) -> SkewDiagram:
-    """op_P, additionally requiring the result to admit no d-addable
-    (q+1)-box."""
-    return _single(op_Pbar_all(k, q), "op_Pbar")
-
-
-def op_Ebar(k: Anchorable, q: int) -> SkewDiagram:
-    """op_E, additionally requiring the result to admit no d-addable
-    (q-1)-box."""
-    return _single(op_Ebar_all(k, q), "op_Ebar")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .partitions import Box, Partition, contains, format_partition
+from .partitions import INPUT_LIMIT, Box, Partition, contains, format_partition
 
 # Working form used by the algorithms: {row: (l, r)} with l < r, mapping
 # each occupied row (any integer) to its column interval (l, r] = l+1..r.
@@ -501,11 +501,13 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
     def rec(rows: list, row_idx: int, used: int, maxcon: int):
         l_prev, r_prev = rows[-1]
         if l_prev == 0:
-            yield SkewDiagram.from_occ(
-                {i + 1: itv for i, itv in enumerate(rows) if itv[0] < itv[1]}
-            )
+            # rows is canonical: row 1 first, last row at column 0, empty
+            # rows (r, r) with r from the occupied row below
+            yield SkewDiagram(tuple(rows))
         budget = max_size - used
-        if budget == 0:
+        # every later row t has l >= maxcon - span_cap + t - 1 >= 1 once
+        # maxcon + row_idx > span_cap, so no descendant reaches column 0
+        if budget == 0 or maxcon + row_idx > span_cap:
             return
         for g in range(0, span_cap + 2):  # g empty rows before the next one
             t = row_idx + g + 1
@@ -542,13 +544,6 @@ def format_skew(k: SkewDiagram) -> str:
     if k.is_empty:
         return "-"
     return ";".join(f"{i + 1}:{l}..{r}" for i, (l, r) in enumerate(k.rows))
-
-
-# Largest box count and largest content span of a diagram given as text or
-# as a partition pair.  Together they bound its rows, its bounding box and
-# the work of every command on it: `from_occ` allocates one entry per row
-# index, the covering one entry per box, `render` one character per cell.
-INPUT_LIMIT = 1000
 
 
 def check_input_limit(occ: Occ) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 from . import arrows, grothendieck, multiplicities, partitions, procedures, skew
 from .partitions import format_partition
@@ -44,11 +45,11 @@ def _timed(check):
 
 
 @_timed
-def equivalence(max_size: int) -> CheckResult:
+def equivalence(max_size: int, span_cap: Optional[int] = None) -> CheckResult:
     """Criterion 2: the covering test and the plain and barred closures
-    agree on every diagram with at most `max_size` boxes (span cap
-    max_size + 1)."""
-    rep = procedures.equivalence_report(max_size)
+    agree on every diagram with at most `max_size` boxes and content span
+    at most `span_cap` (default max_size + 1)."""
+    rep = procedures.equivalence_report(max_size, span_cap)
     violations = [
         {"diagram": format_skew(k), "covering": g, "plain": u, "barred": b}
         for k, g, u, b in rep.disagreements

@@ -4,7 +4,8 @@ import pytest
 
 from peribrauer import skew, verify
 from peribrauer.cli import main
-from peribrauer.skew import INPUT_LIMIT, format_skew, parse_skew
+from peribrauer.partitions import INPUT_LIMIT
+from peribrauer.skew import format_skew, parse_skew
 
 
 def run(capsys, *argv):
@@ -91,7 +92,7 @@ def test_gen_deterministic(capsys):
 def test_verify_equivalence(capsys):
     code, out, _ = run(capsys, "verify-equivalence", "--max-size", "5")
     assert code == 0
-    assert "0 disagreements" in out
+    assert "violations=0" in out
 
 
 def test_arrows_output(capsys):
@@ -126,7 +127,7 @@ def test_cartan_matrix_csv(capsys):
 def test_verify_tl_negative_range(capsys):
     code, out, _ = run(capsys, "verify-tl", "--r-max", "4", "--q-range", "-6:6")
     assert code == 0
-    assert "0 violations" in out
+    assert "violations=0" in out
 
 
 def test_verify_tl_bad_q_range(capsys):
@@ -156,6 +157,10 @@ def test_verify_all_reports_corrupted_membership(capsys, monkeypatch):
     (line,) = [line for line in lines if line.startswith("equivalence(")]
     assert "FAIL" in line and "witness: diagram=" in line
     assert lines[-1] == "overall: FAIL"
+    # the selector prints the same line and fails the same way
+    code, out, _ = run(capsys, "verify-equivalence", "--max-size", "4")
+    assert code == 1
+    assert out.splitlines()[0].split(" seconds=")[0] == line.split(" seconds=")[0]
 
 
 def test_verify_all_trivially_small(capsys):
@@ -174,6 +179,9 @@ def test_render_contents(capsys):
     ["gamma", "1:5..6;100000000:0..1"],  # two boxes, far apart rows
     ["gamma", "--pair", "[100000000]/[]"],  # one long row as a pair
     ["render", "1:0..100000000"],  # one long row as a literal
+    ["gamma", "--pair", "[1]/[1001]"],  # the inner side of a pair
+    ["arrows", "[100000]"],
+    ["pi", "[1001]"],
 ])
 def test_oversized_diagram_is_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,84 +1,68 @@
 import pytest
 
 from peribrauer.procedures import (
-    AnchoredSkew,
     equivalence_report,
     generate_upsilon,
-    op_E,
     op_E_all,
-    op_Ebar,
     op_Ebar_all,
-    op_P,
     op_P_all,
-    op_Pbar,
     op_Pbar_all,
 )
 from peribrauer.skew import EMPTY, SkewDiagram, components, is_gamma
 
 from test_skew import BLOCK23, DOMINO, HOOK4, NINE, SIX_B, SIX_C, STAIR4, STAIR6
 
-# anchoring matching the worked examples: staircase contents (2,3)/(0,1),
-# four-box hook contents 3/(0,1,2)
-ST4 = AnchoredSkew(STAIR4, 1)
-HK4 = AnchoredSkew(HOOK4, 1)
+# q is relative to the canonical frame, box (1, 1) at content 0: the
+# staircase has contents (1,2)/(-1,0), the four-box hook 2/(-1,0,1)
 
 
 def test_extend_from_empty():
-    assert op_E(EMPTY, 1) == DOMINO
-    for q in (-3, 0, 5):
-        assert op_E(EMPTY, q) == DOMINO
-        assert op_Ebar(EMPTY, q) == DOMINO
-    assert op_P(EMPTY, 0) == EMPTY
+    for q in (-3, 0, 1, 5):
+        assert op_E_all(EMPTY, q) == {DOMINO}
+        assert op_Ebar_all(EMPTY, q) == {DOMINO}
+    assert op_P_all(EMPTY, 0) == set()
 
 
 def test_extend_domino():
-    assert op_E(DOMINO, 3) == STAIR4
-    assert op_E(DOMINO, -1) == STAIR4
-    assert op_Ebar(DOMINO, 3) == EMPTY
-    assert op_Ebar(DOMINO, -1) == STAIR4
-    assert op_E(DOMINO, 0) == EMPTY
-    assert op_E(DOMINO, 1) == EMPTY
+    assert op_E_all(DOMINO, 3) == {STAIR4}
+    assert op_E_all(DOMINO, -1) == {STAIR4}
+    assert op_Ebar_all(DOMINO, 3) == set()
+    assert op_Ebar_all(DOMINO, -1) == {STAIR4}
+    assert op_E_all(DOMINO, 0) == set()
+    assert op_E_all(DOMINO, 1) == set()
 
 
 def test_extend_domino_detached():
-    assert op_E(DOMINO, 4) == SkewDiagram(((2, 4), (0, 2)))
+    assert op_E_all(DOMINO, 4) == {SkewDiagram(((2, 4), (0, 2)))}
     assert op_E_all(DOMINO, 5) == {
         SkewDiagram(((3, 5), (0, 2))),
         SkewDiagram(((2, 4), (2, 2), (0, 2))),
     }
-    with pytest.raises(ValueError):
-        op_E(DOMINO, 5)
 
 
 def test_push_staircase():
-    assert op_P(ST4, 2) == HOOK4
-    assert op_Pbar(ST4, 2) == HOOK4
-    for q in range(-7, 9):
-        if q != 2:
-            assert op_P(ST4, q) == EMPTY, q
+    assert op_P_all(STAIR4, 1) == {HOOK4}
+    assert op_Pbar_all(STAIR4, 1) == {HOOK4}
+    for q in range(-8, 8):
+        if q != 1:
+            assert op_P_all(STAIR4, q) == set(), q
 
 
 def test_push_hook_always_empty():
-    for q in range(-9, 10):
-        assert op_P(HK4, q) == EMPTY
+    for q in range(-10, 9):
+        assert op_P_all(HOOK4, q) == set()
 
 
 def test_extend_staircase():
-    assert op_E(ST4, 5) == STAIR6
-    assert op_Ebar(ST4, 5) == EMPTY
-    assert op_E(ST4, 2) == BLOCK23
-    assert op_E(ST4, -1) == STAIR6
+    assert op_E_all(STAIR4, 4) == {STAIR6}
+    assert op_Ebar_all(STAIR4, 4) == set()
+    assert op_E_all(STAIR4, 1) == {BLOCK23}
+    assert op_E_all(STAIR4, -2) == {STAIR6}
 
 
 def test_extend_hook():
-    assert op_E(HK4, 5) == SIX_B
-    assert op_Ebar(HK4, -1) == SIX_C
-
-
-def test_anchoring_shifts_q():
-    # the same operation through a different normalisation
-    assert op_P(AnchoredSkew(STAIR4, 0), 1) == HOOK4
-    assert op_P(AnchoredSkew(STAIR4, -4), -3) == HOOK4
+    assert op_E_all(HOOK4, 4) == {SIX_B}
+    assert op_Ebar_all(HOOK4, -2) == {SIX_C}
 
 
 def test_barred_subset_of_plain():

@@ -332,6 +332,19 @@ def test_enumerate_counts_small():
     assert DOMINO in by_size[2]
 
 
+def test_enumerate_count_eleven():
+    assert sum(1 for _ in enumerate_skew_diagrams(11)) == 479627
+
+
+def test_enumerate_span_cap_is_a_filter():
+    # a tighter cap prunes the search; it must drop exactly the wider diagrams
+    for n in range(8):
+        wide = list(enumerate_skew_diagrams(n, n + 4))
+        for cap in range(n + 3):
+            expected = {k for k in wide if k.span() <= cap}
+            assert set(enumerate_skew_diagrams(n, cap)) == expected, (n, cap)
+
+
 def test_enumerate_realizable_and_unique():
     seen = set()
     for k in enumerate_skew_diagrams(5):
