@@ -74,10 +74,15 @@ def cartan_mult_sum(r: int, nu: Partition, mu: Partition) -> int:
     if nu not in lambdas or mu not in lambdas:
         raise ValueError(f"labels must lie in the simple label set for r={r}")
     nu_c = conjugate(nu)
+    # lam' sits inside nu' exactly when lam sits inside nu, so both
+    # containments are tested before either membership test
     return sum(
         1
         for lam in labels_L(r)
-        if _gamma_pair(lam, mu) and _gamma_pair(conjugate(lam), nu_c)
+        if contains(lam, mu)
+        and contains(lam, nu)
+        and is_gamma(skew_from_pair(mu, lam))
+        and is_gamma(skew_from_pair(nu_c, conjugate(lam)))
     )
 
 

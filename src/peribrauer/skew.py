@@ -16,6 +16,7 @@ minimal content.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable, Iterator, Optional, Sequence
@@ -148,14 +149,15 @@ class SkewDiagram:
         return not self.rows
 
     def content_range(self) -> tuple[int, int]:
-        """(min, max) content over boxes, with content(i, j) = j - i."""
-        if self.is_empty:
+        """(min, max) content over boxes, with content(i, j) = j - i.
+
+        Relies on the canonical rows: in a skew shape r - i and l - i fall
+        strictly from row to row, so the minimum sits in the last row and
+        the maximum in the first, and both of those rows are occupied."""
+        rows = self.rows
+        if not rows:
             raise ValueError("empty diagram has no contents")
-        occ = self.occ()
-        return (
-            min(l + 1 - i for i, (l, _) in occ.items()),
-            max(r - i for i, (_, r) in occ.items()),
-        )
+        return rows[-1][0] + 1 - len(rows), rows[0][1] - 1
 
     def span(self) -> int:
         if self.is_empty:
@@ -218,11 +220,6 @@ def components(k: SkewDiagram) -> list[tuple[SkewDiagram, tuple[int, int]]]:
 # Addable / removable boxes
 
 
-def _has_box(occ: Occ, i: int, j: int) -> bool:
-    itv = occ.get(i)
-    return itv is not None and itv[0] < j <= itv[1]
-
-
 def _box_right_or_below(occ: Occ, i: int, j: int) -> bool:
     itv = occ.get(i)
     if itv is not None and itv[1] > j:
@@ -237,25 +234,67 @@ def _box_left_or_above(occ: Occ, i: int, j: int) -> bool:
     return any(i2 < i and l < j <= r for i2, (l, r) in occ.items())
 
 
+def _pair_fits(a: int, itv_a: tuple[int, int], b: int, itv_b: tuple[int, int]) -> bool:
+    """`occ_violation`'s rule for occupied rows a < b with no occupied row
+    between them: adjacent rows have both endpoints weakly decreasing, and
+    across empty rows the left endpoint above is at least the right
+    endpoint below.  It is written out again here so that the full check
+    behind this pre-filter stays independent of it."""
+    if b == a + 1:
+        return itv_a[0] >= itv_b[0] and itv_a[1] >= itv_b[1]
+    return itv_a[0] >= itv_b[1]
+
+
+def _fits_between(occ: Occ, keys: list[int], i: int, itv: tuple[int, int]) -> bool:
+    """Whether row i with interval itv fits (`_pair_fits`) with the nearest
+    occupied rows above and below it, other than i itself; `keys` is
+    sorted(occ)."""
+    k = bisect_left(keys, i)
+    if k and not _pair_fits(keys[k - 1], occ[keys[k - 1]], i, itv):
+        return False
+    if k < len(keys) and keys[k] == i:
+        k += 1
+    return k == len(keys) or _pair_fits(i, itv, keys[k], occ[keys[k]])
+
+
 def _addable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, int]]:
     """Addable boxes of the given content (content = j - i), restricted to
     d-addable (down=True: nothing right of or below) or u-addable ones.
 
     A box separated from the diagram by g empty rows differs in content
     from the nearest extreme content by at least g + 2, which bounds the
-    rows that can carry a candidate.
+    rows that can carry a candidate.  The extreme contents are read off
+    the top and bottom rows: in a skew shape r - i and l - i fall strictly
+    from row to row.  (If occ is not skew, those bounds widen the range,
+    and no row outside the occupied ones can make it skew.)
+
+    Each row's candidate is first tested locally: its new interval against
+    the nearest occupied rows above and below, the only row pairs the box
+    changes.  That test is necessary for the result to be skew and only
+    makes rejection cheap; every survivor still goes through the full
+    `_occ_add` check.
     """
     if not occ:
         raise ValueError("use an explicit placement for the empty diagram")
-    lo_row, hi_row = min(occ), max(occ)
-    mincon = min(l + 1 - i for i, (l, _) in occ.items())
-    maxcon = max(r - i for i, (_, r) in occ.items())
+    keys = sorted(occ)
+    lo_row, hi_row = keys[0], keys[-1]
+    maxcon = occ[lo_row][1] - lo_row
+    mincon = occ[hi_row][0] + 1 - hi_row
     above = 1 + max(0, content - maxcon - 2)
     below = 1 + max(0, mincon - content - 2)
     out = []
     for i in range(lo_row - above, hi_row + below + 1):
         j = i + content
-        if _has_box(occ, i, j) or _occ_add(occ, i, j) is None:
+        itv = occ.get(i)
+        if itv is None:
+            new = (j - 1, j)
+        elif j == itv[0]:
+            new = (j - 1, itv[1])
+        elif j == itv[1] + 1:
+            new = (itv[0], j)
+        else:
+            continue  # occupied, or would break row contiguity
+        if not _fits_between(occ, keys, i, new) or _occ_add(occ, i, j) is None:
             continue
         blocked = _box_right_or_below(occ, i, j) if down else _box_left_or_above(occ, i, j)
         if not blocked:
@@ -264,10 +303,28 @@ def _addable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, in
 
 
 def _removable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, int]]:
+    """Removable boxes of the given content, restricted to d-removable
+    (down=True) or u-removable ones.  As in `_addable_positions`, each
+    candidate is first tested against the neighbouring occupied rows (the
+    rows above and below each other when its row empties), and every
+    survivor still goes through the full `_occ_remove` check."""
+    keys = sorted(occ)
     out = []
     for i, (l, r) in occ.items():
         j = i + content
-        if not (l < j <= r) or _occ_remove(occ, i, j) is None:
+        if j == l + 1:
+            new = (j, r)
+        elif j == r:
+            new = (l, j - 1)
+        else:
+            continue
+        if new[0] < new[1]:
+            fits = _fits_between(occ, keys, i, new)
+        else:
+            k = bisect_left(keys, i)
+            fits = not 0 < k < len(keys) - 1 or _pair_fits(
+                keys[k - 1], occ[keys[k - 1]], keys[k + 1], occ[keys[k + 1]])
+        if not fits or _occ_remove(occ, i, j) is None:
             continue
         blocked = _box_right_or_below(occ, i, j) if down else _box_left_or_above(occ, i, j)
         if not blocked:

@@ -8,6 +8,9 @@ from peribrauer.skew import (
     EMPTY,
     Hook,
     SkewDiagram,
+    _addable_positions,
+    _occ_add,
+    _removable_positions,
     components,
     conjugate_skew,
     covering,
@@ -18,6 +21,7 @@ from peribrauer.skew import (
     format_skew,
     is_gamma,
     is_gamma0,
+    occ_violation,
     parse_skew,
     render,
     skew_from_pair,
@@ -170,6 +174,79 @@ def test_addable_results_are_skew():
                     assert ok
                 # an addable box failing both side conditions is possible
                 # only when boxes block it on both sides, so no converse
+
+
+def _reference_positions(occ, content, down, add):
+    """The addable (add=True) or removable boxes of one content by the
+    definition: add or remove the box in a copy of occ, validate every row
+    pair with occ_violation, and test the side condition by scanning all
+    rows (down: nothing right of or below the box; up: nothing left of or
+    above it)."""
+    if add:
+        mincon = min(l + 1 - i for i, (l, _) in occ.items())
+        maxcon = max(r - i for i, (_, r) in occ.items())
+        rows = range(min(occ) - 1 - max(0, content - maxcon - 2),
+                     max(occ) + 2 + max(0, mincon - content - 2))
+    else:
+        rows = list(occ)
+    out = []
+    for i in rows:
+        j = i + content
+        l, r = occ.get(i, (j - 1, j - 1))
+        if add:
+            itv = (l - 1, r) if j == l else (l, j) if j == r + 1 else None
+        else:
+            itv = (j, r) if l + 1 == j <= r else (l, j - 1) if l < j == r else None
+        if itv is None:
+            continue
+        new = dict(occ)
+        new[i] = itv
+        if occ_violation({a: v for a, v in new.items() if v[0] < v[1]}):
+            continue
+        if down:
+            blocked = any(a == i and r2 > j or a > i and l2 < j <= r2
+                          for a, (l2, r2) in occ.items())
+        else:
+            blocked = any(a == i and l2 + 1 < j or a < i and l2 < j <= r2
+                          for a, (l2, r2) in occ.items())
+        if not blocked:
+            out.append((i, j))
+    return out
+
+
+def test_positions_match_reference():
+    # every diagram with at most 5 boxes and each of its one-box
+    # u-extensions within one content of its range (the intermediates of
+    # an extension, not canonical: a row off the frame, keys out of
+    # order), at every content within the span cap of the diagram
+    n = 5
+    cap = n + 1
+    for k in enumerate_skew_diagrams(n):
+        if k.is_empty:
+            continue
+        lo, hi = k.content_range()
+        occ = k.occ()
+        inputs = [occ] + [
+            _occ_add(occ, i, j)
+            for c in range(lo - 1, hi + 2)
+            for i, j in _addable_positions(occ, c, down=False)
+        ]
+        for o in inputs:
+            for c in range(lo - cap - 2, hi + cap + 3):
+                for down in (True, False):
+                    assert _addable_positions(o, c, down) == _reference_positions(
+                        o, c, down, add=True), (o, c, down)
+                    assert _removable_positions(o, c, down) == _reference_positions(
+                        o, c, down, add=False), (o, c, down)
+
+
+def test_content_range_matches_boxes():
+    for k in enumerate_skew_diagrams(9):
+        if k.is_empty:
+            continue
+        contents = [j - i for i, j in k.boxes()]
+        assert k.content_range() == (min(contents), max(contents))
+        assert k.span() == max(contents) - min(contents)
 
 
 def test_covering_block():
