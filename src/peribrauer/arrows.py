@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
-from .partitions import Partition, check_partition
+from .partitions import FLIP_LIMIT, Partition, check_partition
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,8 +152,10 @@ def pi_set(p: Partition) -> frozenset[Partition]:
     by_source: dict[int, list[ArrowPair]] = {}
     for a in arrow_pairs(w):
         by_source.setdefault(a.source, []).append(a)
-    out = set()
     choice_lists = [[None] + lst for lst in by_source.values()]
+    if (choices := prod(map(len, choice_lists))) > FLIP_LIMIT:
+        raise ValueError(f"{choices} flip choices; the flip limit is {FLIP_LIMIT} choices")
+    out = set()
     for choice in product(*choice_lists):
         cur = w
         for a in choice:

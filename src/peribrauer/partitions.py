@@ -18,9 +18,10 @@ Partition = tuple  # weakly decreasing tuple of positive ints
 # bounding box and the work of every command on it: `from_occ` allocates
 # one entry per row index, the covering one entry per box, `render` one
 # character per cell.  A pair OUTER/INNER lies inside OUTER, so the bound
-# on OUTER bounds the pair.  The flip set of `pi_set` is not bounded by
-# it: it has up to 2^(arrow sources) members.
+# on OUTER bounds the pair.  FLIP_LIMIT bounds the flip choices of `pi_set`,
+# the product over arrow sources of 1 + their arrows (at most 8 for 15 boxes).
 INPUT_LIMIT = 1000
+FLIP_LIMIT = 4096
 
 
 class Box(NamedTuple):

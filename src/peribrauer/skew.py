@@ -7,11 +7,11 @@ be empty (l == r), which happens for diagrams whose connected components
 are separated vertically.  Two diagrams are equal exactly when they agree
 as translation classes.
 
-The membership test `is_gamma` decomposes a diagram into its covering by
-rim hooks (peeling the rightmost box of each content off every connected
-component, recursively) and checks each hook for two conditions: width =
-height + 1, and no box strictly above the diagonal through the box of
-minimal content.
+The membership test `is_gamma` peels the covering by rim hooks (the
+rightmost box of each content off every connected component, recursively)
+and checks each hook for two conditions: width = height + 1, and no box
+strictly above the diagonal through the box of minimal content.  It reads
+each hook off the row intervals and stops at the first failure.
 """
 
 from __future__ import annotations
@@ -408,6 +408,20 @@ class Hook:
 Covering = tuple
 
 
+def _peel(rows: Sequence[tuple[int, int]]) -> Iterator[tuple[list, list[list[int]], list[int]]]:
+    """The passes of the covering: the rows, their pieces and the cuts; a
+    piece's rim hook is columns cuts[i] + 1..r_i of each of its rows i."""
+    rows = list(rows)
+    while pieces := _pieces(rows):
+        # the rightmost box of a content has no box below and to its right;
+        # r never increases down the rows, so row i's rim starts at column
+        # max(l_i + 1, r_{i+1}), and the last row is all rim
+        cuts = [below - 1 if below > l else l for (l, _), (_, below) in pairwise(rows)]
+        cuts.append(rows[-1][0])
+        yield rows, pieces, cuts
+        rows = [(l, cut) for (l, _), cut in zip(rows, cuts)]
+
+
 def covering(k: SkewDiagram) -> Covering:
     """The covering of k: per connected component, repeatedly strip the
     outer rim hook made of the rightmost box of each content.
@@ -415,19 +429,8 @@ def covering(k: SkewDiagram) -> Covering:
     Hooks are returned with absolute coordinates in k's canonical frame,
     sorted by their minimal box.
     """
-    hooks: list[Hook] = []
-    rows = list(k.rows)
-    while pieces := _pieces(rows):
-        # the rightmost box of a content is the one with no box below and
-        # to its right, so the rim of row i starts at column r_{i+1}; the
-        # last row and a row not touching the next are all rim
-        cuts = [max(l, min(r, below - 1)) for (l, r), (_, below) in pairwise(rows)]
-        cuts.append(rows[-1][0])
-        for piece in pieces:
-            hooks.append(Hook(frozenset(
-                (i + 1, j) for i in piece for j in range(cuts[i] + 1, rows[i][1] + 1)
-            )))
-        rows = [(l, cut) for (l, _), cut in zip(rows, cuts)]
+    hooks = [Hook(frozenset((i + 1, j) for i in piece for j in range(cuts[i] + 1, rows[i][1] + 1)))
+             for rows, pieces, cuts in _peel(k.rows) for piece in pieces]
     hooks.sort(key=lambda h: sorted(h.boxes))
     return tuple(hooks)
 
@@ -475,8 +478,16 @@ def is_gamma0(h: Hook) -> bool:
 
 def is_gamma(k: SkewDiagram) -> bool:
     """True iff every hook of the covering of k passes `is_gamma0`; the
-    empty diagram is a member."""
-    return all(is_gamma0(h) for h in covering(k))
+    empty diagram is a member.  The peel's hooks are read off their rows
+    (height len(piece), width r_top - cut_bottom, the minimal box first in
+    the bottom row), and the first failing one ends it."""
+    for rows, pieces, cuts in _peel(k.rows):
+        for piece in pieces:
+            a = piece[-1] + cuts[piece[-1]]
+            if rows[piece[0]][1] - cuts[piece[-1]] != len(piece) + 1 or any(
+                    i + cuts[i] < a for i in piece):
+                return False
+    return True
 
 
 def conjugate_skew(k: SkewDiagram) -> SkewDiagram:

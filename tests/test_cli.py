@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from peribrauer import skew, verify
+from peribrauer import procedures, skew, verify
 from peribrauer.cli import main
-from peribrauer.partitions import INPUT_LIMIT
+from peribrauer.partitions import FLIP_LIMIT, INPUT_LIMIT
 from peribrauer.skew import format_skew, parse_skew
 
 
@@ -148,8 +148,10 @@ def test_verify_all_json(capsys):
 
 def test_verify_all_reports_corrupted_membership(capsys, monkeypatch):
     # the hook of (3,1) passes without the diagonal condition; the other
-    # checks still run
-    monkeypatch.setattr(skew, "is_gamma0", lambda h: h.wd == h.ht + 1)
+    # checks still run.  The fault goes into the membership test the
+    # equivalence check calls: a width-only test of the covering's hooks.
+    monkeypatch.setattr(procedures, "is_gamma",
+                        lambda k: all(skew.width_condition(h) for h in skew.covering(k)))
     code, out, _ = run(capsys, "verify-all", "--max-size", "4", "--r-max", "2")
     assert code == 1
     lines = out.splitlines()
@@ -175,6 +177,10 @@ def test_render_contents(capsys):
     assert out == ".12\n90.\n"
 
 
+# 961 boxes, within the input limit, but 30 arrow sources: 2^30 flip choices
+SQUARE_31 = "[" + ",".join(["31"] * 31) + "]"
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "1:5..6;100000000:0..1"],  # two boxes, far apart rows
     ["gamma", "--pair", "[100000000]/[]"],  # one long row as a pair
@@ -182,11 +188,15 @@ def test_render_contents(capsys):
     ["gamma", "--pair", "[1]/[1001]"],  # the inner side of a pair
     ["arrows", "[100000]"],
     ["pi", "[1001]"],
+    ["pi", SQUARE_31],
 ])
 def test_oversized_diagram_is_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert f"input limit is {INPUT_LIMIT}" in err
+    if argv[1] == SQUARE_31:
+        assert f"flip limit is {FLIP_LIMIT}" in err
+    else:
+        assert f"input limit is {INPUT_LIMIT}" in err
     assert out == ""
 
 

@@ -130,9 +130,12 @@ def test_corrupted_membership_is_caught(monkeypatch):
     # with the diagonal condition dropped, the harness must flag the
     # smallest diagram whose verdict depends on it: the four-box hook of
     # (3,1), which passes the width test but hangs above the diagonal
-    from peribrauer import skew as skew_mod
+    from peribrauer import procedures as procedures_mod, skew as skew_mod
 
-    monkeypatch.setattr(skew_mod, "is_gamma0", lambda h: h.wd == h.ht + 1)
+    # the fault goes into the membership test the harness calls: a
+    # width-only test of the covering's hooks
+    monkeypatch.setattr(procedures_mod, "is_gamma",
+                        lambda k: all(skew_mod.width_condition(h) for h in skew_mod.covering(k)))
     rep = equivalence_report(4)
     assert not rep.ok
     smallest = min((k for k, *_ in rep.disagreements), key=lambda k: k.size)

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,35 +51,20 @@ def realization(k: SkewDiagram):
 
 
 def brute_is_skew(boxes):
-    """Oracle from the definition: a fixed box set is a skew diagram when
-    rows are contiguous and some choice of column intervals for the empty
-    rows makes both endpoint sequences weakly decreasing."""
-    if not boxes:
-        return True
-    rows = {}
-    for i, j in boxes:
-        rows.setdefault(i, set()).add(j)
-    lo, hi = min(rows), max(rows)
-    for i, cols in rows.items():
-        if max(cols) - min(cols) + 1 != len(cols):
-            return False
-    max_col = max(j for _, j in boxes)
-    gap_rows = [i for i in range(lo, hi + 1) if i not in rows]
-    for xs in product(range(0, max_col + 1), repeat=len(gap_rows)):
-        ls, rs = [], []
-        fill = dict(zip(gap_rows, xs))
-        for i in range(lo, hi + 1):
-            if i in rows:
-                ls.append(min(rows[i]) - 1)
-                rs.append(max(rows[i]))
-            else:
-                ls.append(fill[i])
-                rs.append(fill[i])
-        if all(a >= b for a, b in zip(ls, ls[1:])) and all(
-            a >= b for a, b in zip(rs, rs[1:])
-        ):
-            return True
-    return False
+    """Oracle from the definition: a finite box set is a skew diagram (up
+    to translation) iff it is convex in the product order, i.e. whenever
+    a <= b <= c componentwise with a and c in the set, b is in it too.
+    lambda/mu is an order ideal minus an order ideal, so it is convex; a
+    convex set S is lambda/mu with lambda the down-set of S.  Rows are
+    contiguous because a and c may share a row."""
+    boxes = set(boxes)
+    for i1, j1 in boxes:
+        for i2, j2 in boxes:
+            if i1 <= i2 and j1 <= j2 and any(
+                (i, j) not in boxes for i in range(i1, i2 + 1) for j in range(j1, j2 + 1)
+            ):
+                return False
+    return True
 
 
 def test_from_pair_example_diagram():
@@ -341,6 +326,15 @@ def test_gamma_componentwise():
     assert is_gamma(two_dominoes)
     domino_plus_box = skew_from_pair((4, 1), (2,))
     assert not is_gamma(domino_plus_box)
+
+
+def test_gamma_matches_hook_form():
+    # membership read off the peel's row intervals agrees with testing the
+    # covering's hooks one by one, on every diagram with at most 8 boxes
+    # and on its conjugate
+    for k in enumerate_skew_diagrams(8):
+        for d in (k, conjugate_skew(k)):
+            assert is_gamma(d) == all(is_gamma0(h) for h in covering(d)), d
 
 
 def test_conjugate_skew():
