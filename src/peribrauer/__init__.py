@@ -24,8 +24,6 @@ from .skew import (
     components,
     conjugate_skew,
     covering,
-    d_addable,
-    d_removable,
     enumerate_skew_diagrams,
     format_skew,
     is_gamma,
@@ -33,8 +31,6 @@ from .skew import (
     parse_skew,
     render,
     skew_from_pair,
-    u_addable,
-    u_removable,
 )
 from .procedures import (
     equivalence_report,
@@ -67,7 +63,6 @@ from .grothendieck import (
     apply_E,
     apply_Rq,
     basis_class,
-    vec_add,
     verify_tl,
 )
 

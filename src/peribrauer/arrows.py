@@ -192,19 +192,6 @@ def rim_hook_of_flip(p: Partition, pair) -> FlipHook:
     return FlipHook(lam, ht, wd, deltas)
 
 
-def arrows_cross(a: ArrowPair, b: ArrowPair) -> bool:
-    """True when the two arrows are neither nested nor disjoint nor sharing
-    their source; such a configuration never occurs in one arrow diagram."""
-    if a.source == b.source:
-        return False
-    (s1, t1), (s2, t2) = sorted((tuple(a), tuple(b)))
-    if t1 < s2:  # disjoint: the first lies entirely left of the second
-        return False
-    if t2 < t1:  # nested: the second lies strictly inside the first
-        return False
-    return True
-
-
 def render_arrow_diagram(p: Partition) -> str:
     """The window as a line of o/x (white/black), a ruler marking zero and
     multiples of five, and one line per arrow as `source -> target`."""

@@ -15,7 +15,6 @@ relations of these operators on every basis class in a range.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .partitions import (
@@ -51,18 +50,6 @@ def _bump(out: ClassVector, key, coeff: int) -> None:
         out[key] = new
     else:
         out.pop(key, None)
-
-
-def vec_add(*vectors: ClassVector) -> ClassVector:
-    out: ClassVector = {}
-    for v in vectors:
-        for key, coeff in v.items():
-            _bump(out, key, coeff)
-    return out
-
-
-def vec_scale(c: int, v: ClassVector) -> ClassVector:
-    return {k: c * x for k, x in v.items()} if c else {}
 
 
 def apply_Rq(v: ClassVector, q: int) -> ClassVector:
@@ -113,7 +100,9 @@ def verify_tl(r_max: int, q_lo: int, q_hi: int) -> TLReport:
     are reported with the witnessing basis class.
     """
     if r_max < 2:
-        raise ValueError("r_max must be >= 2")
+        raise ValueError(f"r_max must be >= 2, got {r_max}")
+    if q_lo > q_hi:
+        raise ValueError(f"q range {q_lo}:{q_hi} is empty: it needs LO <= HI")
     report = TLReport(r_max=r_max, q_lo=q_lo, q_hi=q_hi)
 
     def record(relation, r, lam, q, p, lhs, rhs):
@@ -139,13 +128,3 @@ def verify_tl(r_max: int, q_lo: int, q_hi: int) -> TLReport:
                     rhs = apply_E(rq[q])
                     record("braid", r, lam, q, q + s, lhs, rhs)
     return report
-
-
-def random_vector(r_max: int, rng: random.Random, terms: int = 4) -> ClassVector:
-    """Small random class vector, for linearity smoke tests."""
-    out: ClassVector = {}
-    for _ in range(terms):
-        r = rng.randint(2, r_max)
-        lam = rng.choice(labels_L(r))
-        _bump(out, (r, lam), rng.choice([-2, -1, 1, 2, 3]))
-    return out

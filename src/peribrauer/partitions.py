@@ -65,12 +65,6 @@ def contains(inner: Partition, outer: Partition) -> bool:
     return all(a <= b for a, b in zip(inner, outer))
 
 
-def boxes(p: Partition) -> Iterator[Box]:
-    for i, part in enumerate(p, start=1):
-        for j in range(1, part + 1):
-            yield Box(i, j)
-
-
 def addable_boxes(p: Partition) -> list[Box]:
     """Boxes whose addition gives a partition again, top row first."""
     out = [Box(1, p[0] + 1)] if p else [Box(1, 1)]

@@ -129,6 +129,8 @@ def generate_upsilon(max_size: int, barred: bool,
         raise ValueError("max_size must be >= 0")
     if span_cap is None:
         span_cap = max_size + 1
+    if span_cap < 0:
+        raise ValueError(f"span_cap must be >= 0, got {span_cap}")
     p_all = op_Pbar_all if barred else op_P_all
     e_all = op_Ebar_all if barred else op_E_all
 

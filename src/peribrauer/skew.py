@@ -332,45 +332,6 @@ def _removable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, 
     return out
 
 
-def _window_boxes(k: SkewDiagram, down: bool, add: bool,
-                  window: Optional[tuple[int, int]] = None) -> frozenset[Box]:
-    if k.is_empty:
-        if not add:
-            return frozenset()
-        if window is None:
-            raise ValueError("the empty diagram needs an explicit content window")
-        return frozenset(Box(1, c + 1) for c in range(window[0], window[1] + 1))
-    if window is None:
-        lo, hi = k.content_range()
-        window = (lo - 2, hi + 2)
-    occ = k.occ()
-    fn = _addable_positions if add else _removable_positions
-    return frozenset(
-        Box(i, j) for c in range(window[0], window[1] + 1) for i, j in fn(occ, c, down)
-    )
-
-
-def d_addable(k: SkewDiagram, window=None) -> frozenset[Box]:
-    """Addable boxes with nothing right of or below them, truncated to the
-    content window [min-2, max+2] (detached families are infinite)."""
-    return _window_boxes(k, down=True, add=True, window=window)
-
-
-def u_addable(k: SkewDiagram, window=None) -> frozenset[Box]:
-    """Addable boxes with nothing left of or above them."""
-    return _window_boxes(k, down=False, add=True, window=window)
-
-
-def d_removable(k: SkewDiagram) -> frozenset[Box]:
-    """Removable boxes with nothing right of or below them."""
-    return _window_boxes(k, down=True, add=False)
-
-
-def u_removable(k: SkewDiagram) -> frozenset[Box]:
-    """Removable boxes with nothing left of or above them."""
-    return _window_boxes(k, down=False, add=False)
-
-
 # ---------------------------------------------------------------------------
 # Hooks and coverings
 
@@ -399,10 +360,6 @@ class Hook:
     @property
     def min_box(self) -> Box:
         return Box(*min(self.boxes, key=lambda b: b[1] - b[0]))
-
-    @property
-    def max_box(self) -> Box:
-        return Box(*max(self.boxes, key=lambda b: b[1] - b[0]))
 
 
 Covering = tuple
@@ -562,6 +519,8 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
         raise ValueError("max_size must be >= 0")
     if span_cap is None:
         span_cap = max_size + 1
+    if span_cap < 0:
+        raise ValueError(f"span_cap must be >= 0, got {span_cap}")
     yield EMPTY
     if max_size < 1:
         return

@@ -182,6 +182,8 @@ def cartan(r_max: int) -> CheckResult:
     labels, the Cartan sum form equals the witness form and the assembled
     matrix entry, and is 0 or 1.  A `ConsistencyError` from the matrix is
     a violation of its grade."""
+    if r_max < 2:
+        raise ValueError(f"r_max must be >= 2, got {r_max}")
     checked, bad = 0, []
     for r in range(2, r_max + 1):
         try:
@@ -223,7 +225,7 @@ REGISTRY = {
     "arrow_flips": lambda n, r: arrow_flips(n),
     "rim_two_hooks": lambda n, r: rim_two_hooks(n),
     "vertical_dominoes": lambda n, r: vertical_dominoes(n),
-    "tl_relations": lambda n, r: tl_relations(max(2, r), -n - 2, n + 2),
+    "tl_relations": lambda n, r: tl_relations(r, -n - 2, n + 2),
     "cartan": lambda n, r: cartan(r),
     "covering_uniqueness": lambda n, r: covering_uniqueness(n),
 }

@@ -7,7 +7,6 @@ from peribrauer.arrows import (
     ArrowPair,
     WeightDiagram,
     arrow_pairs,
-    arrows_cross,
     flip,
     partition_of_weight,
     pi_set,
@@ -128,6 +127,14 @@ def test_flip_matches_geometry():
 def test_pi_matches_gamma():
     rep = flip_sets(9)
     assert rep.ok and rep.checked > 0, rep.violations[:1]
+
+
+def arrows_cross(a: ArrowPair, b: ArrowPair) -> bool:
+    """Neither nested nor disjoint nor sharing their source."""
+    if a.source == b.source:
+        return False
+    (_, t1), (s2, t2) = sorted((a, b))
+    return s2 <= t1 <= t2  # overlapping, the second not inside the first
 
 
 def test_arrows_never_cross():

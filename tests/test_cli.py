@@ -136,6 +136,23 @@ def test_verify_tl_bad_q_range(capsys):
     assert "--q-range" in err and "LO:HI" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify-tl", "--r-max", "4", "--q-range", "12:-12"], "q range 12:-12 is empty"),
+    (["verify-all", "--max-size", "3", "--r-max", "1"], "r_max must be >= 2, got 1"),
+    (["verify-equivalence", "--max-size", "4", "--span-cap", "-2"],
+     "span_cap must be >= 0, got -2"),
+    (["gen", "--max-size", "4", "--span-cap", "-2"], "span_cap must be >= 0, got -2"),
+    (["gen", "--max-size", "4", "--span-cap", "-2", "--flavor", "upsilon"],
+     "span_cap must be >= 0, got -2"),
+])
+def test_empty_range_is_rejected(capsys, argv, message):
+    # each would otherwise pass having checked nothing, or only the empty diagram
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_verify_all_json(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-size", "5", "--r-max", "4",
                        "--format", "json")

@@ -24,7 +24,7 @@ from peribrauer.partitions import (
     contains,
 )
 from peribrauer.skew import is_gamma, skew_from_pair
-from peribrauer.verify import rim_two_hooks
+from peribrauer.verify import cartan, rim_two_hooks
 
 
 def test_cell_mult_r2():
@@ -124,6 +124,8 @@ def test_cartan_label_validation():
         cartan_mult_sum(2, (), (2,))
     with pytest.raises(ValueError):
         cartan_mult_witness(3, (2,), (3,))
+    with pytest.raises(ValueError, match="r_max must be >= 2, got 1"):
+        cartan(1)  # no grade to check
 
 
 def test_cartan_consistent_through_r7():

@@ -14,8 +14,6 @@ from peribrauer.skew import (
     components,
     conjugate_skew,
     covering,
-    d_addable,
-    d_removable,
     disjoint_or_nested,
     enumerate_skew_diagrams,
     format_skew,
@@ -25,8 +23,6 @@ from peribrauer.skew import (
     parse_skew,
     render,
     skew_from_pair,
-    u_addable,
-    u_removable,
 )
 from peribrauer.verify import covering_uniqueness, vertical_dominoes
 
@@ -108,17 +104,26 @@ def test_components_offsets():
     assert len(components(BLOCK23)) == 1
 
 
+def positions(k: SkewDiagram, down: bool, add: bool) -> set[tuple[int, int]]:
+    """The addable (add=True) or removable boxes of k, d- (down=True) or
+    u-, found by the primitives over the content window [min-2, max+2]."""
+    lo, hi = k.content_range()
+    occ = k.occ()
+    fn = _addable_positions if add else _removable_positions
+    return {b for c in range(lo - 2, hi + 3) for b in fn(occ, c, down)}
+
+
 def test_example_removable_contents():
     k = skew_from_pair((5, 5, 5, 3, 1, 1), (3, 2, 2))
     # shifting the anchor so the lowest box has content 0 adds five
-    assert sorted(b.content + 5 for b in u_removable(k)) == [2, 6, 8]
-    assert sorted(b.content + 5 for b in d_removable(k)) == [0, 4, 7]
+    assert sorted(j - i + 5 for i, j in positions(k, down=False, add=False)) == [2, 6, 8]
+    assert sorted(j - i + 5 for i, j in positions(k, down=True, add=False)) == [0, 4, 7]
 
 
 def test_example_addable_boxes():
     k = skew_from_pair((5, 5, 5, 3, 1, 1), (3, 2, 2))
-    uadd = {(tuple(b), b.content + 5) for b in u_addable(k)}
-    dadd = {(tuple(b), b.content + 5) for b in d_addable(k)}
+    uadd = {(b, b[1] - b[0] + 5) for b in positions(k, down=False, add=True)}
+    dadd = {(b, b[1] - b[0] + 5) for b in positions(k, down=True, add=True)}
     # the connected attachment points on the upper and lower rim
     assert {((0, 5), 10), ((1, 3), 7), ((3, 2), 4), ((6, 0), -1)} <= uadd
     assert {((1, 6), 10), ((4, 4), 5), ((5, 2), 2), ((7, 1), -1)} <= dadd
@@ -127,25 +132,26 @@ def test_example_addable_boxes():
 
 
 def test_domino_addable_removable():
-    assert {(b.content, tuple(b)) for b in d_addable(DOMINO)} == {
+    assert {(j - i, (i, j)) for i, j in positions(DOMINO, down=True, add=True)} == {
         (-1, (2, 1)), (2, (1, 3)), (3, (0, 3)), (-2, (2, 0))
     }
-    assert {tuple(b) for b in u_removable(DOMINO)} == {(1, 1)}
-    assert {tuple(b) for b in d_removable(DOMINO)} == {(1, 2)}
+    assert positions(DOMINO, down=False, add=False) == {(1, 1)}
+    assert positions(DOMINO, down=True, add=False) == {(1, 2)}
 
 
 def test_empty_diagram_window():
-    assert d_addable(EMPTY, window=(0, 2)) == u_addable(EMPTY, window=(0, 2))
-    assert len(d_addable(EMPTY, window=(0, 2))) == 3
-    with pytest.raises(ValueError):
-        d_addable(EMPTY)
-    assert u_removable(EMPTY) == frozenset()
+    # the empty diagram has no frame to place an addable box in
+    for down in (True, False):
+        with pytest.raises(ValueError):
+            _addable_positions({}, 0, down)
+        assert _removable_positions({}, 0, down) == []
 
 
 def test_addable_results_are_skew():
     for k in [DOMINO, STAIR4, HOOK4, SIX_C, skew_from_pair((4, 2), (2,))]:
-        for b in d_addable(k) | u_addable(k):
-            assert brute_is_skew(set(k.boxes()) | {tuple(b)})
+        added = positions(k, down=True, add=True) | positions(k, down=False, add=True)
+        for b in added:
+            assert brute_is_skew(set(k.boxes()) | {b})
         lo, hi = k.content_range()
         for c in range(lo - 2, hi + 3):
             for i in range(-3, 8):
@@ -154,8 +160,7 @@ def test_addable_results_are_skew():
                 if (i, j) in boxes:
                     continue
                 ok = brute_is_skew(boxes | {(i, j)})
-                in_add = any(tuple(b) == (i, j) for b in d_addable(k) | u_addable(k))
-                if in_add:
+                if (i, j) in added:
                     assert ok
                 # an addable box failing both side conditions is possible
                 # only when boxes block it on both sides, so no converse
@@ -254,7 +259,6 @@ def test_hook_stats():
     h = Hook(frozenset(HOOK4.boxes()))
     assert (h.ht, h.wd) == (2, 3)
     assert tuple(h.min_box) == (2, 1)
-    assert tuple(h.max_box) == (1, 3)
     with pytest.raises(ValueError):
         Hook(frozenset({(1, 1), (2, 2)}))  # disconnected
     with pytest.raises(ValueError):
