@@ -16,7 +16,7 @@ width and anticontent profile are dot-counting statistics of the pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 from typing import NamedTuple
 
@@ -42,12 +42,6 @@ class WeightDiagram:
         if pos > self.window_hi:
             return False
         return pos in self.blacks
-
-    def black_count(self, lo: int, hi: int) -> int:
-        """Number of black dots in [lo, hi]; lo must be inside the window."""
-        if lo < self.window_lo:
-            raise ValueError("interval extends into the implicit black tail")
-        return sum(1 for p in range(lo, hi + 1) if self.is_black(p))
 
 
 class ArrowPair(NamedTuple):
@@ -184,11 +178,11 @@ def rim_hook_of_flip(p: Partition, pair) -> FlipHook:
     w = weight_of_partition(p)
     s, t = pair
     lam = partition_of_weight(flip(w, pair))
-    ht = w.black_count(s, t)
+    # blacks[i] = #{blacks in (s, s + i]}; `flip` keeps [s, t] in the window
+    blacks = list(accumulate((c in w.blacks for c in range(s + 1, t + 1)), initial=0))
+    ht = (s in w.blacks) + blacks[-1]
     wd = t - s - ht + 1
-    deltas = tuple(
-        i - 2 * w.black_count(s + 1, s + i) for i in range(ht + wd - 1)
-    )
+    deltas = tuple(i - 2 * b for i, b in enumerate(blacks[:-1]))
     return FlipHook(lam, ht, wd, deltas)
 
 

@@ -10,7 +10,10 @@ two-step lowering operator drops straight to grade r - 2 (zero on
 partitions of full size and below grade 4).
 
 `verify_tl` checks the square-zero, far-commutation and braid-like
-relations of these operators on every basis class in a range.
+relations of these operators on every basis class in a range.  Within
+one call it computes each basis class's images with `apply_Rq` once and
+applies the operators to vectors by summing those images; the right-hand
+side E R_q is `apply_E`, evaluated on its own.
 """
 
 from __future__ import annotations
@@ -97,7 +100,10 @@ def verify_tl(r_max: int, q_lo: int, q_hi: int) -> TLReport:
     R_q R_{q+-1} R_q = E R_q.
 
     Both sides of each identity are evaluated independently; violations
-    are reported with the witnessing basis class.
+    are reported with the witnessing basis class.  Computed once per call:
+    each basis class's images under R_x, x in [q_lo - 1, q_hi + 1], by
+    `apply_Rq` on the class itself, so an operator fault still reaches
+    every relation.  R of the zero vector is zero without a lookup.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be >= 2, got {r_max}")
@@ -111,20 +117,32 @@ def verify_tl(r_max: int, q_lo: int, q_hi: int) -> TLReport:
             report.violations.append((relation, r, lam, q, p, lhs, rhs))
 
     qs = range(q_lo, q_hi + 1)
+    # basis class -> items of its images under R_x, x = q_lo - 1 .. q_hi + 1
+    table: dict = {}
+
+    def rx(v: ClassVector, x: int) -> ClassVector:
+        out: ClassVector = {}
+        for key, coeff in v.items():
+            if key not in table:
+                table[key] = tuple(tuple(apply_Rq({key: 1}, y).items())
+                                   for y in range(q_lo - 1, q_hi + 2))
+            for image, c in table[key][x - q_lo + 1]:
+                _bump(out, image, coeff * c)
+        return out
+
     for r in range(2, r_max + 1):
         for lam in labels_L(r):
             v = basis_class(r, lam)
-            rq = {q: apply_Rq(v, q) for q in qs}
+            rq = {q: rx(v, q) for q in qs}
             for q in qs:
-                record("square", r, lam, q, None, apply_Rq(rq[q], q), {})
+                w = rq[q]
+                record("square", r, lam, q, None, rx(w, q) if w else {}, {})
                 for p in qs:
                     if p - q > 1:
-                        record(
-                            "commute", r, lam, q, p,
-                            apply_Rq(rq[q], p), apply_Rq(rq[p], q),
-                        )
+                        record("commute", r, lam, q, p, rx(w, p) if w else {},
+                               rx(rq[p], q) if rq[p] else {})
                 for s in (1, -1):
-                    lhs = apply_Rq(apply_Rq(rq[q], q + s), q)
-                    rhs = apply_E(rq[q])
+                    lhs = rx(rx(w, q + s), q) if w else {}
+                    rhs = apply_E(w)
                     record("braid", r, lam, q, q + s, lhs, rhs)
     return report

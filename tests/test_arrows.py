@@ -106,6 +106,25 @@ def test_rim_hook_of_flip_fixtures():
     assert (fh.ht, fh.wd) == (2, 3)
 
 
+def test_rim_hook_of_flip_matches_dot_counts():
+    # the per-prefix definition: ht = #blacks in [s, t] and
+    # delta_i = i - 2 * #blacks in (s, s + i]
+    def blacks(w, lo, hi):
+        return sum(w.is_black(c) for c in range(lo, hi + 1))
+
+    pairs = 0
+    for n in range(13):
+        for mu in partitions_of(n):
+            w = weight_of_partition(mu)
+            for s, t in wb_pairs(w):
+                pairs += 1
+                ht = blacks(w, s, t)
+                deltas = tuple(i - 2 * blacks(w, s + 1, s + i) for i in range(t - s))
+                fh = rim_hook_of_flip(mu, (s, t))
+                assert (fh.ht, fh.wd, fh.anticontent_deltas) == (ht, t - s - ht + 1, deltas)
+    assert pairs == 2646
+
+
 def test_adjacent_pair_removes_single_box():
     for mu in [(1,), (2, 1), (3, 3, 2)]:
         w = weight_of_partition(mu)

@@ -153,6 +153,15 @@ def test_empty_range_is_rejected(capsys, argv, message):
     assert out == ""
 
 
+def test_verify_all_refuses_grade_before_any_check(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "equivalence", lambda *a: ran.append(a))
+    code, out, err = run(capsys, "verify-all", "--max-size", "8", "--r-max", "1")
+    assert code == 2
+    assert "r_max must be >= 2, got 1" in err
+    assert out == "" and ran == []
+
+
 def test_verify_all_json(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-size", "5", "--r-max", "4",
                        "--format", "json")

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from peribrauer import grothendieck
 from peribrauer.grothendieck import (
     apply_E,
     apply_Rq,
@@ -68,7 +70,23 @@ def test_braid_example():
 def test_relations_small():
     rep = verify_tl(6, -8, 8)
     assert rep.ok
-    assert rep.checks > 0
+    assert rep.checks == 7695
+
+
+@pytest.mark.parametrize("name, broken, kinds, first", [
+    # R_1 loses its added box; only the braid relations see it
+    ("add_q", lambda f: lambda p, q: None if q == 1 else f(p, q),
+     {"braid": 22}, ("braid", 5, (2, 1), 1, 0, {}, {(2, (1, 1)): 1})),
+    # R_2 loses its removed box on partitions of two or more rows
+    ("remove_q", lambda f: lambda p, q: None if q == 2 and len(p) >= 2 else f(p, q),
+     {"braid": 10, "commute": 5}, ("commute", 4, (3, 1), -1, 2, {(2, (2,)): 1}, {})),
+], ids=["add_q", "remove_q"])
+def test_relations_catch_broken_operator(monkeypatch, name, broken, kinds, first):
+    monkeypatch.setattr(grothendieck, name, broken(getattr(grothendieck, name)))
+    rep = verify_tl(8, -10, 10)
+    assert rep.checks == 28336
+    assert Counter(v[0] for v in rep.violations) == kinds
+    assert rep.violations[0] == first
 
 
 def test_relations_reject_bad_r():
