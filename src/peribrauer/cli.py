@@ -14,6 +14,8 @@ from .partitions import format_partition, parse_partition
 
 
 def _parse_diagram(literal: str | None, pair: str | None) -> skew.SkewDiagram:
+    if literal is not None and pair is not None:
+        raise ValueError(f"give a diagram literal or --pair, not both: {literal!r} and {pair!r}")
     if pair is not None:
         literal = pair
     if literal is None:

@@ -65,60 +65,30 @@ def contains(inner: Partition, outer: Partition) -> bool:
     return all(a <= b for a, b in zip(inner, outer))
 
 
-def addable_boxes(p: Partition) -> list[Box]:
-    """Boxes whose addition gives a partition again, top row first."""
-    out = [Box(1, p[0] + 1)] if p else [Box(1, 1)]
-    for i in range(1, len(p)):
-        if p[i] < p[i - 1]:
-            out.append(Box(i + 1, p[i] + 1))
-    if p:
-        out.append(Box(len(p) + 1, 1))
-    return out
-
-
-def removable_boxes(p: Partition) -> list[Box]:
-    """Corner boxes whose removal gives a partition again."""
-    out = []
-    for i in range(len(p)):
-        if i + 1 == len(p) or p[i] > p[i + 1]:
-            out.append(Box(i + 1, p[i]))
-    return out
-
-
-def add_box(p: Partition, b: Box) -> Partition:
-    rows = list(p)
-    if b.row == len(p) + 1:
-        rows.append(1)
-    else:
-        rows[b.row - 1] += 1
-    return check_partition(rows)
-
-
-def remove_box(p: Partition, b: Box) -> Partition:
-    rows = list(p)
-    rows[b.row - 1] -= 1
-    if rows and rows[-1] == 0:
-        rows.pop()
-    return check_partition(rows)
-
-
 def add_q(p: Partition, q: int) -> Optional[Partition]:
     """The partition obtained by adding an addable box of content q - 1.
 
-    There is at most one such box; absence is reported as None rather than
-    an error.
+    Row k (from 0, with a zero-length row after the last) can take a box
+    of content p[k] - k; that value strictly decreases down the rows, so
+    at most one row matches.  Absence is reported as None rather than an
+    error.
     """
-    for b in addable_boxes(p):
-        if b.content == q - 1:
-            return add_box(p, b)
+    for k, x in enumerate(p + (0,)):
+        if x - k == q - 1:
+            if k and p[k - 1] == x:
+                return None  # the row above has the same length
+            return p[:k] + (x + 1,) + p[k + 1:]
     return None
 
 
 def remove_q(p: Partition, q: int) -> Optional[Partition]:
-    """The partition obtained by removing a removable box of content q."""
-    for b in removable_boxes(p):
-        if b.content == q:
-            return remove_box(p, b)
+    """The partition obtained by removing a removable box of content q;
+    as in `add_q`, at most one row's last box has content q."""
+    for k, x in enumerate(p):
+        if x - 1 - k == q:
+            if k + 1 < len(p) and p[k + 1] == x:
+                return None  # the row below has the same length
+            return p[:k] + ((x - 1,) if x > 1 else ()) + p[k + 1:]
     return None
 
 

@@ -44,7 +44,9 @@ from .skew import (
 
 
 def _op_p_raw(occ: Occ, c: int) -> list[Occ]:
-    """All outcomes of the push-down at relative content c (at most one)."""
+    """All outcomes of the push-down at relative content c (at most one).
+    Every box added or removed is one the primitives accepted, so each
+    outcome is skew and feeds the next primitive without a second check."""
     out = []
     for b1 in _addable_positions(occ, c, down=True):
         occ2 = _occ_add(occ, *b1)
@@ -55,7 +57,8 @@ def _op_p_raw(occ: Occ, c: int) -> list[Occ]:
 
 
 def _op_e_raw(occ: Occ, c: int) -> list[Occ]:
-    """All outcomes of the extension at relative content c."""
+    """All outcomes of the extension at relative content c, skew as in
+    `_op_p_raw`."""
     if not occ:
         # all placements of the first box are translates of one another
         mids = [{1: (c - 1, c)}]  # a single box of content c - 1

@@ -12,6 +12,11 @@ rightmost box of each content off every connected component, recursively)
 and checks each hook for two conditions: width = height + 1, and no box
 strictly above the diagonal through the box of minimal content.  It reads
 each hook off the row intervals and stops at the first failure.
+
+`occ_violation` validates row intervals from outside (`parse_skew`,
+`from_boxes`).  The addable/removable primitives behind the operators
+require skew row intervals instead, as every `SkewDiagram.occ()` and each
+of their own results is, and decide a box from its neighbour rows alone.
 """
 
 from __future__ import annotations
@@ -65,37 +70,25 @@ def _occ_from_boxes(boxes: Iterable[tuple[int, int]]) -> Occ:
     return occ
 
 
-def _occ_add(occ: Occ, i: int, j: int) -> Optional[Occ]:
-    """occ with box (i, j) added, or None if the result is not skew."""
+def _occ_add(occ: Occ, i: int, j: int) -> Occ:
+    """occ with box (i, j) added; the box is one `_addable_positions`
+    returned for occ."""
+    l, r = occ.get(i, (j, j))  # a new row starts as the empty (j, j)
     new = dict(occ)
-    if i in occ:
-        l, r = occ[i]
-        if j == l:
-            new[i] = (l - 1, r)
-        elif j == r + 1:
-            new[i] = (l, r + 1)
-        else:
-            return None  # occupied or would break row contiguity
-    else:
-        new[i] = (j - 1, j)
-    return None if occ_violation(new) else new
+    new[i] = (j - 1, r) if j == l else (l, j)
+    return new
 
 
-def _occ_remove(occ: Occ, i: int, j: int) -> Optional[Occ]:
-    """occ with box (i, j) removed, or None if the result is not skew."""
-    if i not in occ:
-        return None
+def _occ_remove(occ: Occ, i: int, j: int) -> Occ:
+    """occ with box (i, j) removed; the box is one `_removable_positions`
+    returned for occ."""
     l, r = occ[i]
     new = dict(occ)
-    if j == l + 1 == r:
+    if l + 1 == r:
         del new[i]
-    elif j == l + 1:
-        new[i] = (l + 1, r)
-    elif j == r:
-        new[i] = (l, r - 1)
     else:
-        return None
-    return None if occ_violation(new) else new
+        new[i] = (j, r) if j == l + 1 else (l, j - 1)
+    return new
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,26 +213,24 @@ def components(k: SkewDiagram) -> list[tuple[SkewDiagram, tuple[int, int]]]:
 # Addable / removable boxes
 
 
-def _box_right_or_below(occ: Occ, i: int, j: int) -> bool:
-    itv = occ.get(i)
-    if itv is not None and itv[1] > j:
-        return True
-    return any(i2 > i and l < j <= r for i2, (l, r) in occ.items())
-
-
-def _box_left_or_above(occ: Occ, i: int, j: int) -> bool:
-    itv = occ.get(i)
-    if itv is not None and itv[0] + 1 < j:
-        return True
-    return any(i2 < i and l < j <= r for i2, (l, r) in occ.items())
+def _side_blocked(occ: Occ, i: int, j: int, down: bool) -> bool:
+    """Whether occ has a box right of or below (i, j) (down=True), or left
+    of or above it, where (i, j) is a box of occ or one whose addition
+    keeps it skew.  A skew set is convex in the product order, so a box in
+    column j below row i means one in row i + 1, and one above means one
+    in row i - 1: row i and that neighbour row decide.  A missing row
+    reads as the empty interval (j, j)."""
+    l, r = occ.get(i, (j, j))
+    l2, r2 = occ.get(i + 1 if down else i - 1, (j, j))
+    return (r > j if down else l + 1 < j) or l2 < j <= r2
 
 
 def _pair_fits(a: int, itv_a: tuple[int, int], b: int, itv_b: tuple[int, int]) -> bool:
     """`occ_violation`'s rule for occupied rows a < b with no occupied row
     between them: adjacent rows have both endpoints weakly decreasing, and
     across empty rows the left endpoint above is at least the right
-    endpoint below.  It is written out again here so that the full check
-    behind this pre-filter stays independent of it."""
+    endpoint below.  It is written out again here so that `occ_violation`
+    stays an independent reference for the primitives."""
     if b == a + 1:
         return itv_a[0] >= itv_b[0] and itv_a[1] >= itv_b[1]
     return itv_a[0] >= itv_b[1]
@@ -258,21 +249,21 @@ def _fits_between(occ: Occ, keys: list[int], i: int, itv: tuple[int, int]) -> bo
 
 
 def _addable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, int]]:
-    """Addable boxes of the given content (content = j - i), restricted to
-    d-addable (down=True: nothing right of or below) or u-addable ones.
+    """Addable boxes of the given content (content = j - i) of the skew
+    occ, restricted to d-addable (down=True: nothing right of or below) or
+    u-addable ones.
 
     A box separated from the diagram by g empty rows differs in content
     from the nearest extreme content by at least g + 2, which bounds the
     rows that can carry a candidate.  The extreme contents are read off
     the top and bottom rows: in a skew shape r - i and l - i fall strictly
-    from row to row.  (If occ is not skew, those bounds widen the range,
-    and no row outside the occupied ones can make it skew.)
+    from row to row.
 
-    Each row's candidate is first tested locally: its new interval against
-    the nearest occupied rows above and below, the only row pairs the box
-    changes.  That test is necessary for the result to be skew and only
-    makes rejection cheap; every survivor still goes through the full
-    `_occ_add` check.
+    Skew means every pair of consecutive occupied rows fits (`_pair_fits`),
+    and a box in row i changes only the pairs that involve row i.  So
+    testing its new interval against the nearest occupied rows above and
+    below decides whether the result is skew, and `_side_blocked` then
+    reads the side condition off one neighbour row.
     """
     if not occ:
         raise ValueError("use an explicit placement for the empty diagram")
@@ -294,20 +285,17 @@ def _addable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, in
             new = (itv[0], j)
         else:
             continue  # occupied, or would break row contiguity
-        if not _fits_between(occ, keys, i, new) or _occ_add(occ, i, j) is None:
-            continue
-        blocked = _box_right_or_below(occ, i, j) if down else _box_left_or_above(occ, i, j)
-        if not blocked:
+        if _fits_between(occ, keys, i, new) and not _side_blocked(occ, i, j, down):
             out.append((i, j))
     return out
 
 
 def _removable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, int]]:
-    """Removable boxes of the given content, restricted to d-removable
-    (down=True) or u-removable ones.  As in `_addable_positions`, each
-    candidate is first tested against the neighbouring occupied rows (the
-    rows above and below each other when its row empties), and every
-    survivor still goes through the full `_occ_remove` check."""
+    """Removable boxes of the given content of the skew occ, restricted to
+    d-removable (down=True) or u-removable ones.  As in
+    `_addable_positions`, the neighbouring occupied rows decide whether
+    the result is skew; when the box's row empties, the rows above and
+    below it become consecutive and are tested against each other."""
     keys = sorted(occ)
     out = []
     for i, (l, r) in occ.items():
@@ -324,10 +312,7 @@ def _removable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, 
             k = bisect_left(keys, i)
             fits = not 0 < k < len(keys) - 1 or _pair_fits(
                 keys[k - 1], occ[keys[k - 1]], keys[k + 1], occ[keys[k + 1]])
-        if not fits or _occ_remove(occ, i, j) is None:
-            continue
-        blocked = _box_right_or_below(occ, i, j) if down else _box_left_or_above(occ, i, j)
-        if not blocked:
+        if fits and not _side_blocked(occ, i, j, down):
             out.append((i, j))
     return out
 

@@ -229,3 +229,11 @@ def test_oversized_diagram_is_rejected(capsys, argv):
 def test_missing_diagram_is_usage_error(capsys):
     code, _, err = run(capsys, "render")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["gamma", "render"])
+def test_diagram_given_twice_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "1:0..2", "--pair", "[3,3]/[1]")
+    assert code == 2
+    assert "not both" in err and "'1:0..2'" in err and "'[3,3]/[1]'" in err
+    assert out == ""

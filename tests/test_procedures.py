@@ -8,9 +8,11 @@ from peribrauer.procedures import (
     op_P_all,
     op_Pbar_all,
 )
-from peribrauer.skew import EMPTY, SkewDiagram, components, is_gamma
+from peribrauer.skew import EMPTY, SkewDiagram, components, enumerate_skew_diagrams, is_gamma
 
-from test_skew import BLOCK23, DOMINO, HOOK4, NINE, SIX_B, SIX_C, STAIR4, STAIR6
+from test_skew import (
+    BLOCK23, DOMINO, HOOK4, NINE, SIX_B, SIX_C, STAIR4, STAIR6, brute_is_skew,
+)
 
 # q is relative to the canonical frame, box (1, 1) at content 0: the
 # staircase has contents (1,2)/(-1,0), the four-box hook 2/(-1,0,1)
@@ -84,6 +86,27 @@ def test_operator_size_and_content_effects():
             for res in op_E_all(k, q):
                 assert res.size == k.size + 2
                 assert res.span() == max(hi, q) - min(lo, q - 1)
+
+
+def test_every_outcome_is_skew():
+    # the primitives trust their skew input and return results they do not
+    # re-validate; check every outcome against the convexity oracle, over
+    # the q ranges `generate_upsilon` tries with span cap 7, extending every
+    # diagram whatever its size
+    cap = 7
+    outcomes = 0
+    for k in enumerate_skew_diagrams(6):
+        if k.is_empty:
+            results = [op_E_all(k, 0), op_Ebar_all(k, 0)]
+        else:
+            lo, hi = k.content_range()
+            results = [op(k, q) for q in range(lo, hi + 1) for op in (op_P_all, op_Pbar_all)]
+            results += [op(k, q) for q in range(hi - cap + 1, lo + cap + 1)
+                        for op in (op_E_all, op_Ebar_all)]
+        for res in (res for outs in results for res in outs):
+            assert brute_is_skew(res.boxes()), (k, res)
+            outcomes += 1
+    assert outcomes == 2879
 
 
 def test_generate_trivial():
