@@ -122,3 +122,33 @@ def test_criterion_9_covering_uniqueness():
 def test_registry_checks_pass_small(name):
     res = verify.REGISTRY[name](5, 4)
     assert res.name == name and res.ok and res.checked > 0, res.violations[:1]
+
+
+@pytest.mark.parametrize("module, name, broken, check, checked, violations, first", [
+    # every flip set loses even the partition itself
+    ("arrows", "pi_set", lambda f: lambda mu: frozenset(),
+     "flip_sets", 52, 17, {"mu": "[]", "lam": "[]"}),
+    # every predicted hook is one row too tall
+    ("arrows", "rim_hook_of_flip", lambda f: lambda mu, pair: f(mu, pair)._replace(
+        ht=f(mu, pair).ht + 1),
+     "arrow_flips", 34, 34, {"mu": "[1]", "pair": "0->1", "reason": "statistics disagree"}),
+    ("skew", "is_gamma", lambda f: lambda k: True,
+     "rim_two_hooks", 51, 34, {"lam": "[]", "mu": "[1,1]"}),
+    # the first witness comes from a placement on a member, not the empty base
+    ("skew", "is_gamma", lambda f: lambda k: k.size == 4 or f(k),
+     "vertical_dominoes", 353, 9, {"diagram": "1:0..2", "domino": "(-1,2),(0,2)"}),
+    ("multiplicities", "cartan_mult_witness", lambda f: lambda r, nu, mu: 0,
+     "cartan", 69, 28, {"r": 2, "nu": "[2]", "mu": "[2]", "sum": 1, "witness": 0, "matrix": 1}),
+    ("skew", "covering", lambda f: lambda k: (),
+     "covering_uniqueness", 98, 97, {"diagram": "1:0..1", "decompositions": 1}),
+], ids=["flip_sets", "arrow_flips", "rim_two_hooks", "vertical_dominoes", "cartan",
+        "covering_uniqueness"])
+def test_registry_check_catches_fault(monkeypatch, module, name, broken, check, checked,
+                                      violations, first):
+    # a fault patched into a function the check looks up must fail it
+    mod = getattr(verify, module)
+    monkeypatch.setattr(mod, name, broken(getattr(mod, name)))
+    res = getattr(verify, check)(4)
+    assert not res.ok
+    assert (res.checked, len(res.violations)) == (checked, violations)
+    assert res.violations[0] == first
