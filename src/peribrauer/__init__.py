@@ -3,7 +3,6 @@ algebras: skew diagram membership tests, generating operators, arrow
 diagrams, decomposition matrices and operator relation checks."""
 
 from .partitions import (
-    Box,
     Partition,
     add_q,
     check_partition,

@@ -49,29 +49,15 @@ class ArrowPair(NamedTuple):
     target: int  # black dot, source < target
 
 
-def weight_of_partition(p: Partition, window: tuple[int, int] | None = None
-                        ) -> WeightDiagram:
-    """The weight diagram with black dots at p[i] - i (0-based i)."""
+def weight_of_partition(p: Partition) -> WeightDiagram:
+    """The weight diagram with black dots at p[i] - i (0-based i) on the
+    window [-n - 2, n + 2], n = |p|: each p[i] - i lies in (-n, n], and the
+    zero parts after the last row give the tail -len(p), -len(p) - 1, ..."""
     p = check_partition(p)
     n = sum(p)
-    if window is None:
-        window = (-n - 2, n + 2)
-    lo, hi = window
-    # outside the window the colouring is fixed, so the top dot must fit
-    # below `hi` and rows beyond the window must already be the black tail
-    if hi < (p[0] if p else 0) or lo > 1 - len(p):
-        raise ValueError(f"window {window} cannot represent {p} faithfully")
-    blacks = set()
-    i = 0
-    while True:
-        part = p[i] if i < len(p) else 0
-        pos = part - i
-        if pos < lo:
-            break
-        if pos <= hi:
-            blacks.add(pos)
-        i += 1
-    return WeightDiagram(lo, hi, frozenset(blacks))
+    blacks = {part - i for i, part in enumerate(p)}
+    blacks.update(range(-n - 2, 1 - len(p)))
+    return WeightDiagram(-n - 2, n + 2, frozenset(blacks))
 
 
 def partition_of_weight(w: WeightDiagram) -> Partition:

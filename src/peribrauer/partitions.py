@@ -9,7 +9,7 @@ col + row.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
@@ -22,19 +22,6 @@ Partition = tuple  # weakly decreasing tuple of positive ints
 # the product over arrow sources of 1 + their arrows (at most 8 for 15 boxes).
 INPUT_LIMIT = 1000
 FLIP_LIMIT = 4096
-
-
-class Box(NamedTuple):
-    row: int
-    col: int
-
-    @property
-    def content(self) -> int:
-        return self.col - self.row
-
-    @property
-    def anticontent(self) -> int:
-        return self.col + self.row
 
 
 def check_partition(parts) -> Partition:

@@ -4,9 +4,10 @@ generate.
 Each operator takes a canonical diagram k and a content q relative to its
 canonical frame, where box (1, 1) has content 0, and returns the set of
 all its outcomes; the empty set encodes failure.  An extension of the
-empty diagram has one outcome for every q, since all placements of the
-first box are translates of one another, and a far extension can have
-several (detached placements).
+empty diagram has one outcome for every q: `skew._addable_positions`
+places its first box at (1, 1 + content), since all placements are
+translates of one another.  A far extension can have several outcomes
+(detached placements), and a push of the empty diagram has none.
 
 The operator P_q moves the chain of q-boxes one step down its diagonal:
 it needs a d-addable q-box whose addition leaves a u-removable q-box
@@ -59,14 +60,7 @@ def _op_p_raw(occ: Occ, c: int) -> list[Occ]:
 def _op_e_raw(occ: Occ, c: int) -> list[Occ]:
     """All outcomes of the extension at relative content c, skew as in
     `_op_p_raw`."""
-    if not occ:
-        # all placements of the first box are translates of one another
-        mids = [{1: (c - 1, c)}]  # a single box of content c - 1
-    else:
-        mids = [
-            _occ_add(occ, *b2)
-            for b2 in _addable_positions(occ, c - 1, down=False)
-        ]
+    mids = [_occ_add(occ, *b2) for b2 in _addable_positions(occ, c - 1, down=False)]
     return [
         _occ_add(occ2, *b1)
         for occ2 in mids
@@ -74,14 +68,8 @@ def _op_e_raw(occ: Occ, c: int) -> list[Occ]:
     ]
 
 
-def _no_d_addable(occ: Occ, c: int) -> bool:
-    return not occ or not _addable_positions(occ, c, down=True)
-
-
 def op_P_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
     """Push the q-boxes one step down their diagonal."""
-    if k.is_empty:
-        return set()
     return {SkewDiagram.from_occ(o) for o in _op_p_raw(k.occ(), q)}
 
 
@@ -93,12 +81,10 @@ def op_E_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
 
 def op_Pbar_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
     """op_P_all, keeping the outcomes that admit no d-addable (q+1)-box."""
-    if k.is_empty:
-        return set()
     return {
         SkewDiagram.from_occ(o)
         for o in _op_p_raw(k.occ(), q)
-        if _no_d_addable(o, q + 1)
+        if not _addable_positions(o, q + 1, down=True)
     }
 
 
@@ -107,7 +93,7 @@ def op_Ebar_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
     return {
         SkewDiagram.from_occ(o)
         for o in _op_e_raw(k.occ(), q)
-        if _no_d_addable(o, q - 1)
+        if not _addable_positions(o, q - 1, down=True)
     }
 
 
@@ -142,9 +128,8 @@ def generate_upsilon(max_size: int, barred: bool,
     while frontier:
         k = frontier.pop()
         produced: set[SkewDiagram] = set()
-        if k.is_empty:
-            if max_size >= 2:
-                produced |= e_all(k, 0)
+        if k.is_empty:  # no content range; the size filter drops the domino
+            produced |= e_all(k, 0)
         else:
             lo, hi = k.content_range()
             for q in range(lo, hi + 1):

@@ -14,9 +14,11 @@ strictly above the diagonal through the box of minimal content.  It reads
 each hook off the row intervals and stops at the first failure.
 
 `occ_violation` validates row intervals from outside (`parse_skew`,
-`from_boxes`).  The addable/removable primitives behind the operators
+`from_boxes`, criterion 6).  The addable/removable primitives behind the operators
 require skew row intervals instead, as every `SkewDiagram.occ()` and each
 of their own results is, and decide a box from its neighbour rows alone.
+`_addable_positions` also places the first box of the empty diagram, at
+(1, 1 + content): all its placements are translates of one another.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .partitions import INPUT_LIMIT, Box, Partition, contains, format_partition
+from .partitions import INPUT_LIMIT, Partition, contains, format_partition
 
 # Working form used by the algorithms: {row: (l, r)} with l < r, mapping
 # each occupied row (any integer) to its column interval (l, r] = l+1..r.
@@ -35,8 +37,9 @@ Occ = dict
 
 def occ_violation(occ: Occ) -> Optional[tuple[str, int, int]]:
     """Why the row intervals fail to form a skew shape, as a reason and the
-    pair of rows it concerns, or None.  The reason is a constant: callers
-    on the operator paths only test the result, so nothing is formatted."""
+    pair of rows it concerns, or None.  The reason is a constant:
+    `parse_skew` formats it into its message, while `_occ_from_boxes` and
+    criterion 6 (`verify.vertical_dominoes`) only test the result."""
     items = sorted(occ.items())
     for (a, (la, ra)), (b, (lb, rb)) in pairwise(items):
         if b == a + 1:
@@ -47,12 +50,6 @@ def occ_violation(occ: Occ) -> Optional[tuple[str, int, int]]:
         elif la < rb:  # empty rows in between force left-above >= right-below
             return "columns overlap across empty rows", a, b
     return None
-
-
-def _occ_boxes(occ: Occ) -> Iterator[tuple[int, int]]:
-    for i, (l, r) in occ.items():
-        for j in range(l + 1, r + 1):
-            yield (i, j)
 
 
 def _occ_from_boxes(boxes: Iterable[tuple[int, int]]) -> Occ:
@@ -122,16 +119,14 @@ class SkewDiagram:
 
     @staticmethod
     def from_boxes(boxes: Iterable[tuple[int, int]]) -> "SkewDiagram":
-        boxes = list(boxes)
-        if not boxes:
-            return EMPTY
         return SkewDiagram.from_occ(_occ_from_boxes(boxes))
 
     def occ(self) -> Occ:
         return {i + 1: itv for i, itv in enumerate(self.rows) if itv[0] < itv[1]}
 
     def boxes(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_occ_boxes(self.occ()))
+        return frozenset((i, j) for i, (l, r) in enumerate(self.rows, 1)
+                         for j in range(l + 1, r + 1))
 
     @property
     def size(self) -> int:
@@ -263,10 +258,12 @@ def _addable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, in
     and a box in row i changes only the pairs that involve row i.  So
     testing its new interval against the nearest occupied rows above and
     below decides whether the result is skew, and `_side_blocked` then
-    reads the side condition off one neighbour row.
+    reads the side condition off one neighbour row.  Every box of the
+    empty diagram is both d- and u-addable, and its one placement is
+    (1, 1 + content).
     """
     if not occ:
-        raise ValueError("use an explicit placement for the empty diagram")
+        return [(1, 1 + content)]
     keys = sorted(occ)
     lo_row, hi_row = keys[0], keys[-1]
     maxcon = occ[lo_row][1] - lo_row
@@ -343,8 +340,8 @@ class Hook:
         return len({j for _, j in self.boxes})
 
     @property
-    def min_box(self) -> Box:
-        return Box(*min(self.boxes, key=lambda b: b[1] - b[0]))
+    def min_box(self) -> tuple[int, int]:
+        return min(self.boxes, key=lambda b: b[1] - b[0])
 
 
 Covering = tuple
@@ -369,7 +366,7 @@ def covering(k: SkewDiagram) -> Covering:
     outer rim hook made of the rightmost box of each content.
 
     Hooks are returned with absolute coordinates in k's canonical frame,
-    sorted by their minimal box.
+    ordered by their box lists, each sorted by (row, column).
     """
     hooks = [Hook(frozenset((i + 1, j) for i in piece for j in range(cuts[i] + 1, rows[i][1] + 1)))
              for rows, pieces, cuts in _peel(k.rows) for piece in pieces]
@@ -407,8 +404,7 @@ def width_condition(h: Hook) -> bool:
 def diagonal_condition(h: Hook) -> bool:
     """No box lies strictly above the diagonal through the minimal box:
     the minimal box attains the minimal anticontent of the hook."""
-    m = h.min_box
-    a = m.row + m.col
+    a = sum(h.min_box)
     return all(i + j >= a for i, j in h.boxes)
 
 
@@ -464,14 +460,14 @@ def _hooks_through(anchor: tuple[int, int], avail: frozenset) -> list[frozenset]
     return out
 
 
-def hook_decompositions(k: SkewDiagram, limit: int = 2) -> list[frozenset]:
-    """Up to `limit` decompositions of k into hooks that are pairwise
-    disjoint or nested.  Each decomposition is a frozenset of hook box
-    sets."""
+def hook_decompositions(k: SkewDiagram) -> list[frozenset]:
+    """Up to two decompositions of k into hooks that are pairwise disjoint
+    or nested, enough to tell whether it has exactly one.  Each
+    decomposition is a frozenset of hook box sets."""
     found: list[frozenset] = []
 
     def rec(remaining: frozenset, chosen: tuple):
-        if len(found) >= limit:
+        if len(found) >= 2:
             return
         if not remaining:
             found.append(frozenset(chosen))
@@ -480,7 +476,7 @@ def hook_decompositions(k: SkewDiagram, limit: int = 2) -> list[frozenset]:
         for hook in _hooks_through(anchor, remaining):
             if all(disjoint_or_nested(hook, c) for c in chosen):
                 rec(remaining - hook, chosen + (hook,))
-                if len(found) >= limit:
+                if len(found) >= 2:
                     return
 
     rec(k.boxes(), ())
@@ -507,8 +503,6 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
     if span_cap < 0:
         raise ValueError(f"span_cap must be >= 0, got {span_cap}")
     yield EMPTY
-    if max_size < 1:
-        return
 
     def rec(rows: list, row_idx: int, used: int, maxcon: int):
         l_prev, r_prev = rows[-1]
@@ -606,15 +600,12 @@ def render(k: SkewDiagram, contents: bool = False) -> str:
     with contents=True), `.` elsewhere in the bounding box."""
     if k.is_empty:
         return "(empty)"
-    occ = k.occ()
-    width = max(r for _, r in occ.values())
+    width = max(r for _, r in k.rows)
     lines = []
-    for idx in range(len(k.rows)):
-        i = idx + 1
-        l, r = k.rows[idx]
+    for i, (l, r) in enumerate(k.rows, 1):
         chars = []
         for j in range(1, width + 1):
-            if i in occ and l < j <= r:
+            if l < j <= r:
                 chars.append(str((j - i) % 10) if contents else "#")
             else:
                 chars.append(".")

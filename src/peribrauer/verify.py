@@ -44,6 +44,13 @@ def _timed(check):
     return run
 
 
+def _sizes(max_size: int) -> range:
+    """0..max_size, the partition sizes a check runs over."""
+    if max_size < 0:
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
+    return range(max_size + 1)
+
+
 @_timed
 def equivalence(max_size: int, span_cap: Optional[int] = None) -> CheckResult:
     """Criterion 2: the covering test and the plain and barred closures
@@ -67,7 +74,7 @@ def flip_sets(max_size: int) -> CheckResult:
     """Criterion 3: lam lies in the flip set of mu exactly when mu/lam is
     a member, for every lam inside mu with |mu| <= max_size."""
     checked, bad = 0, []
-    for n in range(max_size + 1):
+    for n in _sizes(max_size):
         for mu in partitions.partitions_of(n):
             pis = arrows.pi_set(mu)
             for lam in partitions.subpartitions(mu):
@@ -83,7 +90,7 @@ def arrow_flips(max_size: int) -> CheckResult:
     height, width, anticontent profile and membership match the dot-count
     predictions, |mu| <= max_size."""
     checked, bad = 0, []
-    for n in range(max_size + 1):
+    for n in _sizes(max_size):
         for mu in partitions.partitions_of(n):
             w = arrows.weight_of_partition(mu)
             for pair in arrows.wb_pairs(w):
@@ -113,7 +120,7 @@ def rim_two_hooks(max_size: int) -> CheckResult:
     boxes larger, the cell multiplicity is 1 exactly when the two added
     boxes form a horizontal domino."""
     checked, bad = 0, []
-    for n in range(max_size + 1):
+    for n in _sizes(max_size):
         for lam in partitions.partitions_of(n):
             for mu in partitions.partitions_of(n + 2):
                 if not partitions.contains(lam, mu):
@@ -130,7 +137,10 @@ def rim_two_hooks(max_size: int) -> CheckResult:
 def vertical_dominoes(max_size: int) -> CheckResult:
     """Criterion 6: adding a vertical domino with nothing above it or left
     of it never keeps a member a member, for members with at most
-    `max_size` boxes.  The empty base is the vertical domino itself."""
+    `max_size` boxes.  The empty base is the vertical domino itself.  The
+    domino (i, j), (i + 1, j), for i = -1..last row + 1 and j = -1..max r + 2,
+    goes onto rows that are empty or start at column j + 1, with no row
+    above covering column j; `occ_violation` decides if the result is skew."""
     checked, bad = 0, []
     if skew.is_gamma(SkewDiagram(((0, 1), (0, 1)))):
         bad.append({"diagram": "-", "domino": "(1,1),(2,1)"})
@@ -138,25 +148,19 @@ def vertical_dominoes(max_size: int) -> CheckResult:
         if k.is_empty or not skew.is_gamma(k):
             continue
         occ = k.occ()
-        boxes = set(k.boxes())
-        rows = sorted(occ)
-        cols = [c for l, r in occ.values() for c in (l, r + 1)]
-        for i in range(rows[0] - 2, rows[-1] + 2):
-            for j in range(min(cols) - 1, max(cols) + 2):
-                pair = {(i, j), (i + 1, j)}
-                if pair & boxes:
+        width = max(r for _, r in k.rows)
+        for i in range(-1, len(k.rows) + 2):
+            for j in range(-1, width + 3):
+                top, bottom = occ.get(i, (j, j)), occ.get(i + 1, (j, j))
+                if top[0] != j or bottom[0] != j:
                     continue
-                if any(
-                    (bi < i and bj == j) or (bi in (i, i + 1) and bj < j)
-                    for bi, bj in boxes
-                ):
+                if any(a < i and l < j <= r for a, (l, r) in occ.items()):
                     continue
-                try:
-                    k2 = SkewDiagram.from_boxes(boxes | pair)
-                except ValueError:
+                occ2 = {**occ, i: (j - 1, top[1]), i + 1: (j - 1, bottom[1])}
+                if skew.occ_violation(occ2):
                     continue
                 checked += 1
-                if skew.is_gamma(k2):
+                if skew.is_gamma(SkewDiagram.from_occ(occ2)):
                     bad.append({"diagram": format_skew(k),
                                 "domino": f"({i},{j}),({i + 1},{j})"})
     return CheckResult("vertical_dominoes", {"max_size": max_size}, checked, bad)
@@ -212,7 +216,7 @@ def covering_uniqueness(max_size: int) -> CheckResult:
     checked, bad = 0, []
     for k in skew.enumerate_skew_diagrams(max_size):
         checked += 1
-        decs = skew.hook_decompositions(k, limit=2)
+        decs = skew.hook_decompositions(k)
         if len(decs) != 1 or decs[0] != frozenset(h.boxes for h in skew.covering(k)):
             bad.append({"diagram": format_skew(k), "decompositions": len(decs)})
     return CheckResult("covering_uniqueness", {"max_size": max_size}, checked, bad)

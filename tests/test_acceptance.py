@@ -124,13 +124,19 @@ def test_registry_checks_pass_small(name):
     assert res.name == name and res.ok and res.checked > 0, res.violations[:1]
 
 
+def test_negative_sizes_refused():
+    for check in (verify.flip_sets, verify.arrow_flips, verify.rim_two_hooks):
+        with pytest.raises(ValueError, match="max_size must be >= 0, got -1"):
+            check(-1)
+
+
 @pytest.mark.parametrize("module, name, broken, check, checked, violations, first", [
     # every flip set loses even the partition itself
     ("arrows", "pi_set", lambda f: lambda mu: frozenset(),
      "flip_sets", 52, 17, {"mu": "[]", "lam": "[]"}),
     # every predicted hook is one row too tall
-    ("arrows", "rim_hook_of_flip", lambda f: lambda mu, pair: f(mu, pair)._replace(
-        ht=f(mu, pair).ht + 1),
+    ("arrows", "rim_hook_of_flip",
+     lambda f: lambda mu, pair: (h := f(mu, pair))._replace(ht=h.ht + 1),
      "arrow_flips", 34, 34, {"mu": "[1]", "pair": "0->1", "reason": "statistics disagree"}),
     ("skew", "is_gamma", lambda f: lambda k: True,
      "rim_two_hooks", 51, 34, {"lam": "[]", "mu": "[1,1]"}),

@@ -8,6 +8,7 @@ from peribrauer.arrows import (
     WeightDiagram,
     arrow_pairs,
     flip,
+    is_arrow_pair,
     partition_of_weight,
     pi_set,
     render_arrow_diagram,
@@ -39,26 +40,15 @@ def test_weight_roundtrip(p):
     assert partition_of_weight(weight_of_partition(p)) == p
 
 
-@given(partitions, st.integers(0, 4))
-def test_weight_window_independent(p, extra):
-    n = sum(p)
-    wide = weight_of_partition(p, window=(-n - 2 - extra, n + 2 + extra))
-    assert partition_of_weight(wide) == p
-    assert sorted(arrow_pairs(wide)) == sorted(arrow_pairs(weight_of_partition(p)))
-
-
 def test_invalid_weight_rejected():
     with pytest.raises(ValueError):
         partition_of_weight(WeightDiagram(-2, 2, frozenset({1})))
     with pytest.raises(ValueError):
         partition_of_weight(WeightDiagram(-2, 2, frozenset(range(-2, 3))))
-
-
-def test_unfaithful_window_rejected():
     with pytest.raises(ValueError):
-        weight_of_partition((3,), window=(-2, 2))  # top dot above the window
-    with pytest.raises(ValueError):
-        weight_of_partition((1, 1, 1), window=(-1, 4))  # tail not yet black
+        partition_of_weight(WeightDiagram(-2, 2, frozenset({-1})))  # part -1
+    with pytest.raises(ValueError, match="inside the window"):
+        WeightDiagram(-2, 2, frozenset({3}))
 
 
 def test_arrow_pair_fixtures():
@@ -69,6 +59,11 @@ def test_arrow_pair_fixtures():
         ArrowPair(-1, 1),
         ArrowPair(-1, 3),
     ]
+    # pairs that are not white-before-black: blacks of (3,) are 3, -1, -2, ...
+    w = weight_of_partition((3,))
+    assert not is_arrow_pair(w, ArrowPair(-1, 3))  # black source
+    assert not is_arrow_pair(w, ArrowPair(1, 2))  # white target
+    assert not is_arrow_pair(w, ArrowPair(1, -1))  # target left of source
 
 
 def test_flip_fixtures():
@@ -79,6 +74,8 @@ def test_flip_fixtures():
     assert partition_of_weight(flip(w3, (1, 3))) == (1,)
     with pytest.raises(ValueError):
         flip(w, (0, 2))  # white-white
+    with pytest.raises(ValueError, match="outside window"):
+        flip(w, (-1, 8))  # the window of (3, 2) is -7..7
 
 
 @given(partitions)

@@ -19,6 +19,11 @@ def test_action_fixtures():
     assert apply_Rq(basis_class(3, (1,)), 0) == {(2, ()): 1, (2, (1, 1)): 1}
     assert apply_Rq(basis_class(2, (2,)), 1) == {}
     assert apply_Rq(basis_class(2, (1, 1)), -1) == {}
+    # (2,) loses its 1-box and () gains a 0-box: both give (1,) at grade 3,
+    # and opposite coefficients cancel
+    assert apply_Rq(basis_class(4, (2,)), 1) == apply_Rq(basis_class(4, ()), 1) == {
+        (3, (1,)): 1}
+    assert apply_Rq({(4, (2,)): 1, (4, ()): -1}, 1) == {}
 
 
 def test_add_term_suppressed_at_full_size():

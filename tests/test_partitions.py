@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from peribrauer.partitions import (
-    Box,
     add_q,
     check_partition,
     conjugate,
@@ -56,12 +55,6 @@ def test_check_partition_rejects():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, 0))
-
-
-def test_box_content_anticontent():
-    assert Box(2, 3).content == 1
-    assert Box(2, 3).anticontent == 5
-    assert Box(3, 1).content == -2
 
 
 @pytest.mark.parametrize(
@@ -122,30 +115,31 @@ def test_add_remove_roundtrip():
 
 
 def addable_boxes(p):
-    """Boxes whose addition gives a partition again, top row first."""
-    out = [Box(1, p[0] + 1)] if p else [Box(1, 1)]
+    """Boxes (row, col) whose addition gives a partition again, top row
+    first."""
+    out = [(1, p[0] + 1)] if p else [(1, 1)]
     for i in range(1, len(p)):
         if p[i] < p[i - 1]:
-            out.append(Box(i + 1, p[i] + 1))
+            out.append((i + 1, p[i] + 1))
     if p:
-        out.append(Box(len(p) + 1, 1))
+        out.append((len(p) + 1, 1))
     return out
 
 
 def removable_boxes(p):
-    """Corner boxes whose removal gives a partition again."""
+    """Corner boxes (row, col) whose removal gives a partition again."""
     out = []
     for i in range(len(p)):
         if i + 1 == len(p) or p[i] > p[i + 1]:
-            out.append(Box(i + 1, p[i]))
+            out.append((i + 1, p[i]))
     return out
 
 
 def test_addable_removable_distinct_contents():
     for n in range(0, 9):
         for p in partitions_of(n):
-            adds = [b.content for b in addable_boxes(p)]
-            rems = [b.content for b in removable_boxes(p)]
+            adds = [j - i for i, j in addable_boxes(p)]
+            rems = [j - i for i, j in removable_boxes(p)]
             assert len(set(adds)) == len(adds)
             assert len(set(rems)) == len(rems)
 

@@ -114,6 +114,8 @@ def test_generate_trivial():
     assert generate_upsilon(1, barred=True) == {EMPTY}
     assert generate_upsilon(2, barred=False) == {EMPTY, DOMINO}
     assert generate_upsilon(2, barred=True) == {EMPTY, DOMINO}
+    with pytest.raises(ValueError, match="max_size must be >= 0"):
+        generate_upsilon(-1, barred=False)
 
 
 def test_generate_six_connected_members():

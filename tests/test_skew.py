@@ -10,6 +10,7 @@ from peribrauer.skew import (
     SkewDiagram,
     _addable_positions,
     _occ_add,
+    _occ_remove,
     _removable_positions,
     components,
     conjugate_skew,
@@ -140,10 +141,11 @@ def test_domino_addable_removable():
 
 
 def test_empty_diagram_window():
-    # the empty diagram has no frame to place an addable box in
+    # every box of the empty diagram is d- and u-addable, and all its
+    # placements are translates of the one in row 1
     for down in (True, False):
-        with pytest.raises(ValueError):
-            _addable_positions({}, 0, down)
+        for c in range(-3, 4):
+            assert _addable_positions({}, c, down) == [(1, 1 + c)]
         assert _removable_positions({}, 0, down) == []
 
 
@@ -204,11 +206,12 @@ def _reference_positions(occ, content, down, add):
     return out
 
 
-def test_positions_match_reference():
-    # every diagram with at most 5 boxes and each of its one-box
-    # u-extensions within one content of its range (the intermediates of
-    # an extension, not canonical: a row off the frame, keys out of
-    # order), at every content within the span cap of the diagram
+def _position_grid():
+    """Every diagram with at most n = 5 boxes and each of its one-box
+    u-extensions within one content of its range (the intermediates of
+    an extension, not canonical: a row off the frame, keys out of
+    order), at every content within the span cap n + 1 of the diagram:
+    (row intervals, content) pairs."""
     n = 5
     cap = n + 1
     for k in enumerate_skew_diagrams(n):
@@ -223,14 +226,40 @@ def test_positions_match_reference():
         ]
         for o in inputs:
             for c in range(lo - cap - 2, hi + cap + 3):
-                for down in (True, False):
-                    assert _addable_positions(o, c, down) == _reference_positions(
-                        o, c, down, add=True), (o, c, down)
-                    assert _removable_positions(o, c, down) == _reference_positions(
-                        o, c, down, add=False), (o, c, down)
+                yield o, c
+
+
+def test_positions_match_reference():
+    for o, c in _position_grid():
+        for down in (True, False):
+            assert _addable_positions(o, c, down) == _reference_positions(
+                o, c, down, add=True), (o, c, down)
+            assert _removable_positions(o, c, down) == _reference_positions(
+                o, c, down, add=False), (o, c, down)
+
+
+def test_occ_remove_matches_box_removal():
+    # every removable box on the grid of test_positions_match_reference,
+    # one-box rows among them, which no push reaches: the row intervals
+    # left are those of the box set without it
+    def box_set(o):
+        return {(i, j) for i, (l, r) in o.items() for j in range(l + 1, r + 1)}
+
+    emptied = 0
+    for o, c in _position_grid():
+        for down in (True, False):
+            for b in _removable_positions(o, c, down):
+                rest = _occ_remove(o, *b)
+                assert all(l < r for l, r in rest.values()), (o, b)
+                assert box_set(rest) == box_set(o) - {b}, (o, b)
+                assert SkewDiagram.from_occ(rest) == SkewDiagram.from_boxes(box_set(rest))
+                emptied += b[0] not in rest
+    assert emptied > 0
 
 
 def test_content_range_matches_boxes():
+    with pytest.raises(ValueError, match="no contents"):
+        EMPTY.content_range()
     for k in enumerate_skew_diagrams(9):
         if k.is_empty:
             continue
@@ -449,6 +478,8 @@ def test_format_parse_roundtrip():
     for k in list(enumerate_skew_diagrams(5)) + [EMPTY]:
         assert parse_skew(format_skew(k)) == k
     assert format_skew(EMPTY) == "-"
+    with pytest.raises(ValueError, match=r"bad row-interval at piece 2 \('x'\)"):
+        parse_skew("1:0..2;x")
     with pytest.raises(ValueError):
         parse_skew("1:0..2;2:0..3")  # widens downward
 
