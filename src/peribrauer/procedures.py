@@ -37,8 +37,8 @@ from .skew import (
     _addable_positions,
     _occ_add,
     _occ_remove,
+    _pieces,
     _removable_positions,
-    components,
     is_gamma,
     enumerate_skew_diagrams,
 )
@@ -191,7 +191,7 @@ def equivalence_report(max_size: int, span_cap: Optional[int] = None,
         in_bar = k in upsilon_bar
         if in_gamma:
             report.member_count += 1
-            if not k.is_empty and len(components(k)) == 1:
+            if not k.is_empty and len(_pieces(k.rows)) == 1:
                 report.connected_nonzero_members += 1
         if not (in_gamma == in_ups == in_bar):
             report.disagreements.append((k, in_gamma, in_ups, in_bar))

@@ -17,13 +17,17 @@ each hook off the row intervals and stops at the first failure.
 `from_boxes`, criterion 6).  The addable/removable primitives behind the operators
 require skew row intervals instead, as every `SkewDiagram.occ()` and each
 of their own results is, and decide a box from its neighbour rows alone.
+They rest on one fact: a skew set is convex in the product order
+((i, j) <= (i', j') when i <= i' and j <= j').  A box with nothing right
+of or below it (left of or above it) is then maximal (minimal), and
+removing it leaves a convex set, so a removal needs only that side test;
+an addition is tested against the nearest occupied rows above and below.
 `_addable_positions` also places the first box of the empty diagram, at
 (1, 1 + content): all its placements are translates of one another.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable, Iterator, Optional, Sequence
@@ -231,18 +235,6 @@ def _pair_fits(a: int, itv_a: tuple[int, int], b: int, itv_b: tuple[int, int]) -
     return itv_a[0] >= itv_b[1]
 
 
-def _fits_between(occ: Occ, keys: list[int], i: int, itv: tuple[int, int]) -> bool:
-    """Whether row i with interval itv fits (`_pair_fits`) with the nearest
-    occupied rows above and below it, other than i itself; `keys` is
-    sorted(occ)."""
-    k = bisect_left(keys, i)
-    if k and not _pair_fits(keys[k - 1], occ[keys[k - 1]], i, itv):
-        return False
-    if k < len(keys) and keys[k] == i:
-        k += 1
-    return k == len(keys) or _pair_fits(i, itv, keys[k], occ[keys[k]])
-
-
 def _addable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, int]]:
     """Addable boxes of the given content (content = j - i) of the skew
     occ, restricted to d-addable (down=True: nothing right of or below) or
@@ -257,8 +249,9 @@ def _addable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, in
     Skew means every pair of consecutive occupied rows fits (`_pair_fits`),
     and a box in row i changes only the pairs that involve row i.  So
     testing its new interval against the nearest occupied rows above and
-    below decides whether the result is skew, and `_side_blocked` then
-    reads the side condition off one neighbour row.  Every box of the
+    below decides whether the result is skew; the rows are walked in
+    order, so one index into the sorted keys finds both.  `_side_blocked`
+    then reads the side condition off one neighbour row.  Every box of the
     empty diagram is both d- and u-addable, and its one placement is
     (1, 1 + content).
     """
@@ -270,46 +263,39 @@ def _addable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, in
     mincon = occ[hi_row][0] + 1 - hi_row
     above = 1 + max(0, content - maxcon - 2)
     below = 1 + max(0, mincon - content - 2)
+    n = len(keys)
+    k = 0  # keys[k - 1] is the nearest occupied row above row i, keys[k] the next
     out = []
     for i in range(lo_row - above, hi_row + below + 1):
+        if k < n and keys[k] < i:
+            k += 1
         j = i + content
         itv = occ.get(i)
         if itv is None:
-            new = (j - 1, j)
+            new, nxt = (j - 1, j), k
         elif j == itv[0]:
-            new = (j - 1, itv[1])
+            new, nxt = (j - 1, itv[1]), k + 1
         elif j == itv[1] + 1:
-            new = (itv[0], j)
+            new, nxt = (itv[0], j), k + 1
         else:
             continue  # occupied, or would break row contiguity
-        if _fits_between(occ, keys, i, new) and not _side_blocked(occ, i, j, down):
+        if ((k == 0 or _pair_fits(keys[k - 1], occ[keys[k - 1]], i, new))
+                and (nxt == n or _pair_fits(i, new, keys[nxt], occ[keys[nxt]]))
+                and not _side_blocked(occ, i, j, down)):
             out.append((i, j))
     return out
 
 
 def _removable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, int]]:
     """Removable boxes of the given content of the skew occ, restricted to
-    d-removable (down=True) or u-removable ones.  As in
-    `_addable_positions`, the neighbouring occupied rows decide whether
-    the result is skew; when the box's row empties, the rows above and
-    below it become consecutive and are tested against each other."""
-    keys = sorted(occ)
+    d-removable (down=True) or u-removable ones.  A skew set is convex in
+    the product order, and a box that passes `_side_blocked` is maximal
+    (d) or minimal (u) in it; removing an extremal box from a convex set
+    leaves a convex set, so the result is skew without a fit test."""
     out = []
     for i, (l, r) in occ.items():
         j = i + content
-        if j == l + 1:
-            new = (j, r)
-        elif j == r:
-            new = (l, j - 1)
-        else:
-            continue
-        if new[0] < new[1]:
-            fits = _fits_between(occ, keys, i, new)
-        else:
-            k = bisect_left(keys, i)
-            fits = not 0 < k < len(keys) - 1 or _pair_fits(
-                keys[k - 1], occ[keys[k - 1]], keys[k + 1], occ[keys[k + 1]])
-        if fits and not _side_blocked(occ, i, j, down):
+        if l < j <= r and not _side_blocked(occ, i, j, down):
             out.append((i, j))
     return out
 
@@ -366,11 +352,13 @@ def covering(k: SkewDiagram) -> Covering:
     outer rim hook made of the rightmost box of each content.
 
     Hooks are returned with absolute coordinates in k's canonical frame,
-    ordered by their box lists, each sorted by (row, column).
+    ordered by their first box in (row, column) order, the leftmost box of
+    their top row.  The hooks are disjoint, so their first boxes differ and
+    this is the order of their box lists, each sorted by (row, column).
     """
     hooks = [Hook(frozenset((i + 1, j) for i in piece for j in range(cuts[i] + 1, rows[i][1] + 1)))
              for rows, pieces, cuts in _peel(k.rows) for piece in pieces]
-    hooks.sort(key=lambda h: sorted(h.boxes))
+    hooks.sort(key=lambda h: min(h.boxes))
     return tuple(hooks)
 
 

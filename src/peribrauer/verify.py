@@ -139,8 +139,9 @@ def vertical_dominoes(max_size: int) -> CheckResult:
     of it never keeps a member a member, for members with at most
     `max_size` boxes.  The empty base is the vertical domino itself.  The
     domino (i, j), (i + 1, j), for i = -1..last row + 1 and j = -1..max r + 2,
-    goes onto rows that are empty or start at column j + 1, with no row
-    above covering column j; `occ_violation` decides if the result is skew."""
+    goes onto rows that are empty or start at column j + 1, with row i - 1
+    not covering column j; `occ_violation` decides if the result is skew,
+    and in a skew result a box above column j means one in row i - 1."""
     checked, bad = 0, []
     if skew.is_gamma(SkewDiagram(((0, 1), (0, 1)))):
         bad.append({"diagram": "-", "domino": "(1,1),(2,1)"})
@@ -154,7 +155,8 @@ def vertical_dominoes(max_size: int) -> CheckResult:
                 top, bottom = occ.get(i, (j, j)), occ.get(i + 1, (j, j))
                 if top[0] != j or bottom[0] != j:
                     continue
-                if any(a < i and l < j <= r for a, (l, r) in occ.items()):
+                above = occ.get(i - 1, (j, j))
+                if above[0] < j <= above[1]:
                     continue
                 occ2 = {**occ, i: (j - 1, top[1]), i + 1: (j - 1, bottom[1])}
                 if skew.occ_violation(occ2):

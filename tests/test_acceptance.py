@@ -77,7 +77,8 @@ def check(title, res, checked, **counts):
 def test_criterion_2_equivalence_size_ten():
     # regression values for the default universe (span cap 11)
     check("criterion 2: three descriptions agree on all diagrams of size <= 10",
-          verify.equivalence(10), 144327, members=892)
+          verify.equivalence(10), 144327, members=892,
+          connected_nonzero=86)
 
 
 def test_criterion_3_flip_sets_match_membership():

@@ -364,10 +364,13 @@ def test_gamma_componentwise():
 def test_gamma_matches_hook_form():
     # membership read off the peel's row intervals agrees with testing the
     # covering's hooks one by one, on every diagram with at most 8 boxes
-    # and on its conjugate
+    # and on its conjugate; the hooks come in the order of their sorted
+    # box lists
     for k in enumerate_skew_diagrams(8):
         for d in (k, conjugate_skew(k)):
-            assert is_gamma(d) == all(is_gamma0(h) for h in covering(d)), d
+            cov = covering(d)
+            assert is_gamma(d) == all(is_gamma0(h) for h in cov), d
+            assert [sorted(h.boxes) for h in cov] == sorted(sorted(h.boxes) for h in cov), d
 
 
 def test_conjugate_skew():
