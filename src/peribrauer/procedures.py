@@ -20,6 +20,9 @@ require the result to admit no d-addable (q+1)-box (for P) or (q-1)-box
 Closing {empty} under the plain operators gives one family, under the
 barred operators another; `equivalence_report` checks both against the
 covering-based membership test over an exhaustive universe of diagrams.
+The closure builds one table of first boxes per diagram and operator
+(`skew._addable_table`: the d-addable boxes of every content for P, the
+u-addable ones for E) and visits only the contents that have one.
 Termination of the closure is size-driven: E grows a diagram by two boxes
 and P permutes contents, so within a size bound and a content-span bound
 the reachable set is finite.
@@ -35,6 +38,7 @@ from .skew import (
     Occ,
     SkewDiagram,
     _addable_positions,
+    _addable_table,
     _occ_add,
     _occ_remove,
     _pieces,
@@ -44,12 +48,13 @@ from .skew import (
 )
 
 
-def _op_p_raw(occ: Occ, c: int) -> list[Occ]:
-    """All outcomes of the push-down at relative content c (at most one).
-    Every box added or removed is one the primitives accepted, so each
-    outcome is skew and feeds the next primitive without a second check."""
+def _op_p_raw(occ: Occ, c: int, firsts: list[tuple[int, int]]) -> list[Occ]:
+    """All outcomes of the push-down at relative content c (at most one),
+    given `firsts`, the d-addable c-boxes of occ.  Every box added or
+    removed is one the primitives accepted, so each outcome is skew and
+    feeds the next primitive without a second check."""
     out = []
-    for b1 in _addable_positions(occ, c, down=True):
+    for b1 in firsts:
         occ2 = _occ_add(occ, *b1)
         for b2 in _removable_positions(occ2, c, down=False):
             if b2 != b1:  # pushing must move a box, not add-and-remove one
@@ -57,10 +62,10 @@ def _op_p_raw(occ: Occ, c: int) -> list[Occ]:
     return out
 
 
-def _op_e_raw(occ: Occ, c: int) -> list[Occ]:
-    """All outcomes of the extension at relative content c, skew as in
-    `_op_p_raw`."""
-    mids = [_occ_add(occ, *b2) for b2 in _addable_positions(occ, c - 1, down=False)]
+def _op_e_raw(occ: Occ, c: int, firsts: list[tuple[int, int]]) -> list[Occ]:
+    """All outcomes of the extension at relative content c, given `firsts`,
+    the u-addable (c-1)-boxes of occ; skew as in `_op_p_raw`."""
+    mids = [_occ_add(occ, *b2) for b2 in firsts]
     return [
         _occ_add(occ2, *b1)
         for occ2 in mids
@@ -68,33 +73,36 @@ def _op_e_raw(occ: Occ, c: int) -> list[Occ]:
     ]
 
 
+def _outcomes(outs: list[Occ], bar: Optional[int]) -> set[SkewDiagram]:
+    """The diagrams of the outcomes; given a content `bar`, only those that
+    admit no d-addable box of it (the barred filter)."""
+    return {SkewDiagram.from_occ(o) for o in outs
+            if bar is None or not _addable_positions(o, bar, down=True)}
+
+
 def op_P_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
     """Push the q-boxes one step down their diagonal."""
-    return {SkewDiagram.from_occ(o) for o in _op_p_raw(k.occ(), q)}
+    occ = k.occ()
+    return _outcomes(_op_p_raw(occ, q, _addable_positions(occ, q, down=True)), None)
 
 
 def op_E_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
     """Extend by a (q-1)-box on the upper rim and a q-box on the lower
     rim."""
-    return {SkewDiagram.from_occ(o) for o in _op_e_raw(k.occ(), q)}
+    occ = k.occ()
+    return _outcomes(_op_e_raw(occ, q, _addable_positions(occ, q - 1, down=False)), None)
 
 
 def op_Pbar_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
     """op_P_all, keeping the outcomes that admit no d-addable (q+1)-box."""
-    return {
-        SkewDiagram.from_occ(o)
-        for o in _op_p_raw(k.occ(), q)
-        if not _addable_positions(o, q + 1, down=True)
-    }
+    occ = k.occ()
+    return _outcomes(_op_p_raw(occ, q, _addable_positions(occ, q, down=True)), q + 1)
 
 
 def op_Ebar_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
     """op_E_all, keeping the outcomes that admit no d-addable (q-1)-box."""
-    return {
-        SkewDiagram.from_occ(o)
-        for o in _op_e_raw(k.occ(), q)
-        if not _addable_positions(o, q - 1, down=True)
-    }
+    occ = k.occ()
+    return _outcomes(_op_e_raw(occ, q, _addable_positions(occ, q - 1, down=False)), q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +121,11 @@ def generate_upsilon(max_size: int, barred: bool,
     A push never changes the multiset of contents and the reverse of an
     extension removes boxes, so restricting the closure to the bounded
     universe loses no members of it.
+
+    Each diagram's first boxes come from one table per operator
+    (`skew._addable_table`): the d-addable q-boxes of P over the content
+    range, and the u-addable (q-1)-boxes of E over the extension range.
+    Only the contents with a first box are visited.
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
@@ -120,23 +133,22 @@ def generate_upsilon(max_size: int, barred: bool,
         span_cap = max_size + 1
     if span_cap < 0:
         raise ValueError(f"span_cap must be >= 0, got {span_cap}")
-    p_all = op_Pbar_all if barred else op_P_all
-    e_all = op_Ebar_all if barred else op_E_all
 
     seen = {EMPTY}
     frontier = [EMPTY]
     while frontier:
         k = frontier.pop()
+        occ = k.occ()
+        # the empty diagram has nothing to push, and its extensions are all
+        # translates of the domino: one content is enough
+        lo, hi = k.content_range() if occ else (1, 0)
+        e_lo, e_hi = (hi - span_cap, lo + span_cap - 1) if occ else (-1, -1)
         produced: set[SkewDiagram] = set()
-        if k.is_empty:  # no content range; the size filter drops the domino
-            produced |= e_all(k, 0)
-        else:
-            lo, hi = k.content_range()
-            for q in range(lo, hi + 1):
-                produced |= p_all(k, q)
-            if k.size + 2 <= max_size:
-                for q in range(hi - span_cap + 1, lo + span_cap + 1):
-                    produced |= e_all(k, q)
+        for c, firsts in _addable_table(occ, lo, hi, down=True).items():
+            produced |= _outcomes(_op_p_raw(occ, c, firsts), c + 1 if barred else None)
+        if k.size + 2 <= max_size:
+            for c, firsts in _addable_table(occ, e_lo, e_hi, down=False).items():
+                produced |= _outcomes(_op_e_raw(occ, c + 1, firsts), c if barred else None)
         for res in produced:
             if res.is_empty or res in seen:
                 continue

@@ -17,13 +17,19 @@ each hook off the row intervals and stops at the first failure.
 `from_boxes`, criterion 6).  The addable/removable primitives behind the operators
 require skew row intervals instead, as every `SkewDiagram.occ()` and each
 of their own results is, and decide a box from its neighbour rows alone.
-They rest on one fact: a skew set is convex in the product order
+A removal rests on one fact: a skew set is convex in the product order
 ((i, j) <= (i', j') when i <= i' and j <= j').  A box with nothing right
 of or below it (left of or above it) is then maximal (minimal), and
-removing it leaves a convex set, so a removal needs only that side test;
-an addition is tested against the nearest occupied rows above and below.
-`_addable_positions` also places the first box of the empty diagram, at
-(1, 1 + content): all its placements are translates of one another.
+removing it leaves a convex set, so a removal needs only that side test.
+The addable boxes have a closed form, row by row, in the nearest occupied
+rows a above and b below row i (`_addable_table` reads every content's
+off one sweep): an occupied row (l, r] can only grow at its right end
+r + 1 for d (kept if r_a > r, or l_a > r across empty rows) and at its
+left end l for u (kept if l_b < l, or r_b < l across empty rows), and an
+empty row takes the d-columns r_b + 1..l_a + [a = i - 1] and the
+u-columns r_b + [b != i + 1]..l_a.  The empty diagram places its first
+box at (1, 1 + content): all its placements are translates of one
+another.
 """
 
 from __future__ import annotations
@@ -212,91 +218,79 @@ def components(k: SkewDiagram) -> list[tuple[SkewDiagram, tuple[int, int]]]:
 # Addable / removable boxes
 
 
-def _side_blocked(occ: Occ, i: int, j: int, down: bool) -> bool:
-    """Whether occ has a box right of or below (i, j) (down=True), or left
-    of or above it, where (i, j) is a box of occ or one whose addition
-    keeps it skew.  A skew set is convex in the product order, so a box in
-    column j below row i means one in row i + 1, and one above means one
-    in row i - 1: row i and that neighbour row decide.  A missing row
-    reads as the empty interval (j, j)."""
-    l, r = occ.get(i, (j, j))
-    l2, r2 = occ.get(i + 1 if down else i - 1, (j, j))
-    return (r > j if down else l + 1 < j) or l2 < j <= r2
+def _addable_table(occ: Occ, lo: int, hi: int, down: bool) -> dict[int, list[tuple[int, int]]]:
+    """The addable boxes of the skew occ with contents lo..hi, d-addable
+    (down=True: nothing right of or below) or u-addable ones, by content,
+    each list in row order; contents without one are left out.
 
+    One sweep over the rows reads them off a closed form, with a the
+    nearest occupied row above row i and b the nearest below (either may
+    be missing, which leaves that end unbounded):
 
-def _pair_fits(a: int, itv_a: tuple[int, int], b: int, itv_b: tuple[int, int]) -> bool:
-    """`occ_violation`'s rule for occupied rows a < b with no occupied row
-    between them: adjacent rows have both endpoints weakly decreasing, and
-    across empty rows the left endpoint above is at least the right
-    endpoint below.  It is written out again here so that `occ_violation`
-    stays an independent reference for the primitives."""
-    if b == a + 1:
-        return itv_a[0] >= itv_b[0] and itv_a[1] >= itv_b[1]
-    return itv_a[0] >= itv_b[1]
+    - an occupied row (l, r] has one d-candidate, its right end r + 1,
+      kept if r_a > r (a = i - 1) or l_a > r (a < i - 1); and one
+      u-candidate, its left end l, kept if l_b < l (b = i + 1) or r_b < l
+      (b > i + 1);
+    - an empty row takes the d-columns r_b + 1..l_a + [a = i - 1] and the
+      u-columns r_b + [b != i + 1]..l_a: the gap rows, and the detached
+      placements above and below the diagram.
+
+    Every box of the empty diagram is both d- and u-addable, and its one
+    placement is (1, 1 + content).
+    """
+    if not occ:
+        return {c: [(1, 1 + c)] for c in range(lo, hi + 1)}
+    keys = sorted(occ)
+    top, bottom, n = keys[0], keys[-1], len(keys)
+    k = 0  # keys[k] is the nearest occupied row at or below row i
+    a = None  # the nearest occupied row above row i
+    table: dict[int, list[tuple[int, int]]] = {}
+    # a row above the top holds contents >= r_top - i at best, and a row
+    # below the bottom contents <= l_bottom + 1 - i
+    for i in range(min(top, occ[top][1] - hi), max(bottom, occ[bottom][0] + 1 - lo) + 1):
+        if k < n and keys[k] < i:
+            a = keys[k]
+            k += 1
+        b = keys[k] if k < n else None
+        if b == i:
+            l, r = occ[i]
+            if down:
+                j = r + 1
+                keep = a is None or (occ[a][1] if a == i - 1 else occ[a][0]) > r
+            else:
+                j = l
+                b = keys[k + 1] if k + 1 < n else None
+                keep = b is None or (occ[b][0] if b == i + 1 else occ[b][1]) < l
+            if keep and lo <= j - i <= hi:
+                table.setdefault(j - i, []).append((i, j))
+            continue
+        j_lo = i + lo if b is None else max(i + lo, occ[b][1] + (down or b != i + 1))
+        j_hi = i + hi if a is None else min(i + hi, occ[a][0] + (down and a == i - 1))
+        for j in range(j_lo, j_hi + 1):
+            table.setdefault(j - i, []).append((i, j))
+    return table
 
 
 def _addable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, int]]:
-    """Addable boxes of the given content (content = j - i) of the skew
-    occ, restricted to d-addable (down=True: nothing right of or below) or
-    u-addable ones.
-
-    A box separated from the diagram by g empty rows differs in content
-    from the nearest extreme content by at least g + 2, which bounds the
-    rows that can carry a candidate.  The extreme contents are read off
-    the top and bottom rows: in a skew shape r - i and l - i fall strictly
-    from row to row.
-
-    Skew means every pair of consecutive occupied rows fits (`_pair_fits`),
-    and a box in row i changes only the pairs that involve row i.  So
-    testing its new interval against the nearest occupied rows above and
-    below decides whether the result is skew; the rows are walked in
-    order, so one index into the sorted keys finds both.  `_side_blocked`
-    then reads the side condition off one neighbour row.  Every box of the
-    empty diagram is both d- and u-addable, and its one placement is
-    (1, 1 + content).
-    """
-    if not occ:
-        return [(1, 1 + content)]
-    keys = sorted(occ)
-    lo_row, hi_row = keys[0], keys[-1]
-    maxcon = occ[lo_row][1] - lo_row
-    mincon = occ[hi_row][0] + 1 - hi_row
-    above = 1 + max(0, content - maxcon - 2)
-    below = 1 + max(0, mincon - content - 2)
-    n = len(keys)
-    k = 0  # keys[k - 1] is the nearest occupied row above row i, keys[k] the next
-    out = []
-    for i in range(lo_row - above, hi_row + below + 1):
-        if k < n and keys[k] < i:
-            k += 1
-        j = i + content
-        itv = occ.get(i)
-        if itv is None:
-            new, nxt = (j - 1, j), k
-        elif j == itv[0]:
-            new, nxt = (j - 1, itv[1]), k + 1
-        elif j == itv[1] + 1:
-            new, nxt = (itv[0], j), k + 1
-        else:
-            continue  # occupied, or would break row contiguity
-        if ((k == 0 or _pair_fits(keys[k - 1], occ[keys[k - 1]], i, new))
-                and (nxt == n or _pair_fits(i, new, keys[nxt], occ[keys[nxt]]))
-                and not _side_blocked(occ, i, j, down)):
-            out.append((i, j))
-    return out
+    """The one-content view of `_addable_table`."""
+    return _addable_table(occ, content, content, down).get(content, [])
 
 
 def _removable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, int]]:
     """Removable boxes of the given content of the skew occ, restricted to
-    d-removable (down=True) or u-removable ones.  A skew set is convex in
-    the product order, and a box that passes `_side_blocked` is maximal
-    (d) or minimal (u) in it; removing an extremal box from a convex set
+    d-removable (down=True: nothing right of or below) or u-removable ones.
+    A skew set is convex in the product order, so a box below (above) the
+    box (i, j) in column j means one in row i + 1 (i - 1): the box must end
+    its row on that side and miss that neighbour row.  It is then maximal
+    (d) or minimal (u), and removing an extremal box from a convex set
     leaves a convex set, so the result is skew without a fit test."""
     out = []
     for i, (l, r) in occ.items():
         j = i + content
-        if l < j <= r and not _side_blocked(occ, i, j, down):
-            out.append((i, j))
+        if j == (r if down else l + 1):
+            l2, r2 = occ.get(i + 1 if down else i - 1, (j, j))
+            if not l2 < j <= r2:
+                out.append((i, j))
     return out
 
 

@@ -148,8 +148,16 @@ def test_negative_sizes_refused():
      "cartan", 69, 28, {"r": 2, "nu": "[2]", "mu": "[2]", "sum": 1, "witness": 0, "matrix": 1}),
     ("skew", "covering", lambda f: lambda k: (),
      "covering_uniqueness", 98, 97, {"diagram": "1:0..1", "decompositions": 1}),
+    # the closures lose every first box in an empty row more than one row
+    # from the diagram, so two dominoes one empty row apart are not reached
+    ("procedures", "_addable_table",
+     lambda f: lambda occ, lo, hi, down: {
+         c: [b for b in boxes if not occ or min(abs(b[0] - a) for a in occ) < 2]
+         for c, boxes in f(occ, lo, hi, down).items()},
+     "equivalence", 98, 1,
+     {"diagram": "1:2..4;2:2..2;3:0..2", "covering": True, "plain": False, "barred": False}),
 ], ids=["flip_sets", "arrow_flips", "rim_two_hooks", "vertical_dominoes", "cartan",
-        "covering_uniqueness"])
+        "covering_uniqueness", "equivalence"])
 def test_registry_check_catches_fault(monkeypatch, module, name, broken, check, checked,
                                       violations, first):
     # a fault patched into a function the check looks up must fail it

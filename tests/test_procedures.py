@@ -118,6 +118,39 @@ def test_generate_trivial():
         generate_upsilon(-1, barred=False)
 
 
+def _reference_closure(max_size, barred, span_cap=None):
+    """The closure by the one-content operators: P at every q of the
+    content range, E at every q of the extension range."""
+    cap = max_size + 1 if span_cap is None else span_cap
+    p_all, e_all = (op_Pbar_all, op_Ebar_all) if barred else (op_P_all, op_E_all)
+    seen, frontier = {EMPTY}, [EMPTY]
+    while frontier:
+        k = frontier.pop()
+        produced = set()
+        if k.is_empty:
+            produced |= e_all(k, 0)
+        else:
+            lo, hi = k.content_range()
+            for q in range(lo, hi + 1):
+                produced |= p_all(k, q)
+            if k.size + 2 <= max_size:
+                for q in range(hi - cap + 1, lo + cap + 1):
+                    produced |= e_all(k, q)
+        for res in produced - seen:
+            if res.size <= max_size and res.span() <= cap:
+                seen.add(res)
+                frontier.append(res)
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("span_cap", [None, 5])
+def test_closure_matches_one_content_operators(span_cap):
+    # the closure reads its first boxes from one table per diagram; the
+    # public operators, one content at a time, must close to the same set
+    for barred in (False, True):
+        assert generate_upsilon(8, barred, span_cap) == _reference_closure(8, barred, span_cap)
+
+
 def test_generate_six_connected_members():
     for barred in (False, True):
         members = generate_upsilon(6, barred=barred)
