@@ -1,8 +1,9 @@
 """Weight diagrams on the integer line, arrow pairs, and flip sets.
 
-A partition corresponds to a two-colouring of the integers: position p is
-black when p appears in the strictly decreasing sequence (p1, p2 - 1,
-p3 - 2, ...), white otherwise.  Far enough left everything is black, far
+A partition corresponds to a two-colouring of the integers: the black
+dots are its beta-numbers p[i] - i (0-based i, with p[i] = 0 past the
+last row), the strictly decreasing sequence (p1, p2 - 1, p3 - 2, ...);
+every other position is white.  Far enough left everything is black, far
 enough right everything is white, so a finite window suffices.
 
 A white dot strictly left of a black dot is a wb pair; it is an arrow
@@ -33,7 +34,8 @@ class WeightDiagram:
     blacks: frozenset[int]
 
     def __post_init__(self):
-        if any(p < self.window_lo or p > self.window_hi for p in self.blacks):
+        if self.blacks and (min(self.blacks) < self.window_lo
+                            or max(self.blacks) > self.window_hi):
             raise ValueError("black positions must lie inside the window")
 
     def is_black(self, pos: int) -> bool:
@@ -158,17 +160,32 @@ def rim_hook_of_flip(p: Partition, pair) -> FlipHook:
     """Flip a wb pair of the weight diagram of p and predict the shape of
     the removed rim hook from dot counts alone.
 
+    The blacks are the beta-numbers p[i] - i and every position <= -len(p),
+    and a flip is an XOR of {s, t} on that set: extended down to
+    min(s, -len(p)), it is finite and sorts back into the parts
+    beta'[i] + i of the result.  The window and colour tests are those of
+    `flip`, on the window of `weight_of_partition`.
+
     The box with content c + i (c the minimal content) has anticontent
     a + i - 2 * #{blacks in (source, source + i]}; the deltas drop a.
     """
-    w = weight_of_partition(p)
+    p = check_partition(p)
+    n = sum(p)
     s, t = pair
-    lam = partition_of_weight(flip(w, pair))
-    # blacks[i] = #{blacks in (s, s + i]}; `flip` keeps [s, t] in the window
-    blacks = list(accumulate((c in w.blacks for c in range(s + 1, t + 1)), initial=0))
-    ht = (s in w.blacks) + blacks[-1]
+    if not (-n - 2 <= s < t <= n + 2):
+        raise ValueError(f"pair {pair} outside window")
+    beta = {part - i for i, part in enumerate(p)}
+    beta.update(range(min(s, -len(p)), 1 - len(p)))
+    if (s in beta) == (t in beta):
+        raise ValueError(f"{pair} is not a white-black pair")
+    # blacks[i] = #{blacks in (s, s + i]}
+    blacks = list(accumulate((c in beta for c in range(s + 1, t + 1)), initial=0))
+    ht = (s in beta) + blacks[-1]
     wd = t - s - ht + 1
     deltas = tuple(i - 2 * b for i, b in enumerate(blacks[:-1]))
+    beta ^= {s, t}
+    # parts are weakly decreasing and >= 0, so the zeros are the tail
+    lam = tuple([b + i for i, b in enumerate(sorted(beta, reverse=True)) if b + i])
     return FlipHook(lam, ht, wd, deltas)
 
 

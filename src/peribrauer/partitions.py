@@ -9,6 +9,7 @@ col + row.
 from __future__ import annotations
 
 from functools import cache
+from operator import le
 from typing import Iterator, Optional
 
 Partition = tuple  # weakly decreasing tuple of positive ints
@@ -49,7 +50,7 @@ def contains(inner: Partition, outer: Partition) -> bool:
     """True iff the diagram of `inner` sits inside the diagram of `outer`."""
     if len(inner) > len(outer):
         return False
-    return all(a <= b for a, b in zip(inner, outer))
+    return all(map(le, inner, outer))
 
 
 def add_q(p: Partition, q: int) -> Optional[Partition]:

@@ -171,18 +171,35 @@ EMPTY = SkewDiagram(())
 
 
 def skew_from_pair(outer: Partition, inner: Partition) -> SkewDiagram:
-    """The canonical skew diagram of outer minus inner."""
+    """The canonical skew diagram of outer minus inner, read straight off
+    the two tuples: row i is (lefts[i], outer[i]] with `inner` padded by
+    zeros into `lefts`.  The fully covered rows at the top and bottom are
+    dropped, and the columns shift by lefts[hi], the left end of the last
+    occupied row: left ends fall weakly down a partition, so it is the
+    least.  An interior empty row becomes (fill, fill), fill the right end
+    of the nearest occupied row below."""
     if not contains(inner, outer):
         raise ValueError(
             f"{format_partition(inner)} is not contained in {format_partition(outer)}"
         )
-    inner_padded = tuple(inner) + (0,) * (len(outer) - len(inner))
-    occ = {
-        i + 1: (inner_padded[i], outer[i])
-        for i in range(len(outer))
-        if inner_padded[i] < outer[i]
-    }
-    return SkewDiagram.from_occ(occ)
+    lefts = tuple(inner) + (0,) * (len(outer) - len(inner))
+    lo, hi = 0, len(outer) - 1
+    while lo <= hi and lefts[lo] == outer[lo]:
+        lo += 1
+    if lo > hi:
+        return EMPTY
+    while lefts[hi] == outer[hi]:
+        hi -= 1
+    shift = lefts[hi]
+    out = []
+    for i in range(hi, lo - 1, -1):
+        if lefts[i] < outer[i]:
+            fill = outer[i] - shift
+            out.append((lefts[i] - shift, fill))
+        else:
+            out.append((fill, fill))
+    out.reverse()
+    return SkewDiagram(tuple(out))
 
 
 def _pieces(rows: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -347,13 +364,15 @@ def covering(k: SkewDiagram) -> Covering:
 
     Hooks are returned with absolute coordinates in k's canonical frame,
     ordered by their first box in (row, column) order, the leftmost box of
-    their top row.  The hooks are disjoint, so their first boxes differ and
-    this is the order of their box lists, each sorted by (row, column).
+    their top row, which the peel gives as (top row, its cut + 1).  The
+    hooks are disjoint, so their first boxes differ (the sort never
+    compares two hooks) and this is the order of their box lists, each
+    sorted by (row, column).
     """
-    hooks = [Hook(frozenset((i + 1, j) for i in piece for j in range(cuts[i] + 1, rows[i][1] + 1)))
-             for rows, pieces, cuts in _peel(k.rows) for piece in pieces]
-    hooks.sort(key=lambda h: min(h.boxes))
-    return tuple(hooks)
+    hooks = sorted(((piece[0] + 1, cuts[piece[0]] + 1),
+                    Hook(frozenset((i + 1, j) for i in piece for j in range(cuts[i] + 1, rows[i][1] + 1))))
+                   for rows, pieces, cuts in _peel(k.rows) for piece in pieces)
+    return tuple([h for _, h in hooks])
 
 
 def hooks_disjoint(a: frozenset, b: frozenset) -> bool:

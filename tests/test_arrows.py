@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,7 +105,9 @@ def test_rim_hook_of_flip_fixtures():
 
 def test_rim_hook_of_flip_matches_dot_counts():
     # the per-prefix definition: ht = #blacks in [s, t] and
-    # delta_i = i - 2 * #blacks in (s, s + i]
+    # delta_i = i - 2 * #blacks in (s, s + i]; the partition against the
+    # weight-diagram route, `flip` and `partition_of_weight`, which keep
+    # their own reading of the colouring
     def blacks(w, lo, hi):
         return sum(w.is_black(c) for c in range(lo, hi + 1))
 
@@ -119,7 +121,32 @@ def test_rim_hook_of_flip_matches_dot_counts():
                 deltas = tuple(i - 2 * blacks(w, s + 1, s + i) for i in range(t - s))
                 fh = rim_hook_of_flip(mu, (s, t))
                 assert (fh.ht, fh.wd, fh.anticontent_deltas) == (ht, t - s - ht + 1, deltas)
+                assert fh.partition == partition_of_weight(flip(w, (s, t))), (mu, (s, t))
     assert pairs == 2646
+
+
+def test_rim_hook_of_flip_any_pair_matches_weight_route():
+    # every (s, t) in and around the window, black-white pairs included:
+    # the same partition or the same refusal
+    outcomes = dict.fromkeys(["wb", "bw", "outside window", "not a white-black pair"], 0)
+    for n in range(6):
+        for mu in partitions_of(n):
+            w = weight_of_partition(mu)
+            span = range(w.window_lo - 1, w.window_hi + 2)
+            for pair in product(span, span):
+                try:
+                    want = partition_of_weight(flip(w, pair))
+                except ValueError as e:
+                    with pytest.raises(ValueError) as got:
+                        rim_hook_of_flip(mu, pair)
+                    assert str(got.value) == str(e), (mu, pair)
+                    outcomes["outside window" if "window" in str(e)
+                             else "not a white-black pair"] += 1
+                else:
+                    assert rim_hook_of_flip(mu, pair).partition == want, (mu, pair)
+                    outcomes["bw" if w.is_black(pair[0]) else "wb"] += 1
+    assert outcomes == {"wb": 69, "bw": 681, "outside window": 2634,
+                        "not a white-black pair": 643}
 
 
 def test_adjacent_pair_removes_single_box():

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from peribrauer.partitions import partitions_of
+from peribrauer.partitions import partitions_of, subpartitions
 from peribrauer.skew import (
     EMPTY,
     Hook,
@@ -81,8 +81,30 @@ def test_from_pair_basics():
     assert skew_from_pair((4, 4), (2, 2)) == skew_from_pair((2, 2), ())
     for p in [(), (1,), (3, 1)]:
         assert skew_from_pair(p, p) == EMPTY
-    with pytest.raises(ValueError):
+    assert skew_from_pair((3, 2, 1), (3, 1)).rows == ((1, 2), (0, 1))  # covered top row
+    assert skew_from_pair((3, 2, 2), (1, 2, 2)).rows == ((0, 2),)  # covered bottom rows
+    # a covered middle row is (fill, fill), fill the right end of the row below
+    assert skew_from_pair((3, 1, 1), (1, 1)).rows == ((1, 3), (1, 1), (0, 1))
+    with pytest.raises(ValueError, match=r"^\[2\] is not contained in \[1,1\]$"):
         skew_from_pair((1, 1), (2,))
+    with pytest.raises(ValueError, match=r"^\[1,1,1\] is not contained in \[3\]$"):
+        skew_from_pair((3,), (1, 1, 1))
+
+
+def test_from_pair_matches_box_difference():
+    # the rows read straight off the two tuples against the box set of
+    # outer minus inner, canonicalised from outside
+    def boxes(p):
+        return {(i, j) for i, part in enumerate(p, 1) for j in range(1, part + 1)}
+
+    pairs = 0
+    for n in range(11):
+        for mu in partitions_of(n):
+            for lam in subpartitions(mu):
+                pairs += 1
+                want = SkewDiagram.from_boxes(boxes(mu) - boxes(lam))  # EMPTY if equal
+                assert skew_from_pair(mu, lam) == want, (mu, lam)
+    assert pairs == 2888
 
 
 def test_from_pair_disjoint_boxes():
