@@ -128,7 +128,7 @@ def generate_upsilon(max_size: int, barred: bool,
     Only the contents with a first box are visited.
     """
     if max_size < 0:
-        raise ValueError("max_size must be >= 0")
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
     if span_cap is None:
         span_cap = max_size + 1
     if span_cap < 0:

@@ -491,54 +491,53 @@ def hook_decompositions(k: SkewDiagram) -> list[frozenset]:
 def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
                             ) -> Iterator[SkewDiagram]:
     """All canonical skew diagrams with at most `max_size` boxes and content
-    span at most `span_cap` (default max_size + 1).
+    span at most `span_cap` (default max_size + 1), depth first: the empty
+    diagram, then the first rows (l1, r1] by l1 and then r1 ascending, each
+    diagram before those that extend it by rows below.
 
     The span cap is what makes the family finite: connected components may
     sit arbitrarily far apart in general, and every extra row or column of
-    separation costs content span.
+    separation costs content span.  A node with m rows has span
+    r1 + m - 2 >= m - 1, so the stack of child iterators, one per row
+    count, holds at most span_cap + 1 of them.
     """
     if max_size < 0:
-        raise ValueError("max_size must be >= 0")
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
     if span_cap is None:
         span_cap = max_size + 1
     if span_cap < 0:
         raise ValueError(f"span_cap must be >= 0, got {span_cap}")
     yield EMPTY
 
-    def rec(rows: list, row_idx: int, used: int, maxcon: int):
-        l_prev, r_prev = rows[-1]
-        if l_prev == 0:
-            # rows is canonical: row 1 first, last row at column 0, empty
-            # rows (r, r) with r from the occupied row below
-            yield SkewDiagram(tuple(rows))
+    def below(rows: tuple, used: int):
+        l, r = rows[-1]
+        m = len(rows)
+        maxcon = rows[0][1] - 1
         budget = max_size - used
-        # every later row t has l >= maxcon - span_cap + t - 1 >= 1 once
-        # maxcon + row_idx > span_cap, so no descendant reaches column 0
-        if budget == 0 or maxcon + row_idx > span_cap:
-            return
-        for g in range(0, span_cap + 2):  # g empty rows before the next one
-            t = row_idx + g + 1
-            r_hi = r_prev if g == 0 else l_prev
-            if r_hi < 1:
-                break
-            feasible = False
-            for r2 in range(r_hi, 0, -1):
-                # row t occupies (l2, r2]; its lowest content is l2 + 1 - t
-                l_lo = max(0, r2 - budget, maxcon - span_cap + t - 1)
-                l_hi = min(l_prev, r2 - 1) if g == 0 else r2 - 1
-                for l2 in range(l_lo, l_hi + 1):
-                    feasible = True
-                    rows2 = rows + [(r2, r2)] * g + [(l2, r2)]
-                    yield from rec(rows2, t, used + (r2 - l2), maxcon)
-            if not feasible and g > 0:
-                break
+        # children by g, then r2 descending, then l2: g empty rows (r2, r2)
+        # and row t = m + g + 1 as (l2, r2], its lowest content l2 + 1 - t
+        # >= maxcon - span_cap; after g >= 1 empty rows r2 <= l bounds g
+        for g in range(l + span_cap - maxcon - m if l else 1):
+            l_lo = maxcon - span_cap + m + g
+            for r2 in range(l if g else r, 0, -1):
+                head = rows + ((r2, r2),) * g
+                for l2 in range(max(0, r2 - budget, l_lo), min(l + 1, r2)):
+                    yield head + ((l2, r2),), used + r2 - l2
 
-    # first occupied row: interval (l1, r1], contents [l1, r1 - 1]
-    for l1 in range(0, span_cap + 1):
-        for r1 in range(l1 + 1, l1 + max_size + 1):
-            if (r1 - 1) - l1 > span_cap:
+    # the first occupied row (l1, r1] has contents l1..r1 - 1
+    stack = [((((l1, r1),), r1 - l1) for l1 in range(span_cap + 1)
+              for r1 in range(l1 + 1, l1 + 1 + min(max_size, span_cap + 1)))]
+    while stack:
+        for rows, used in stack[-1]:
+            if rows[-1][0] == 0:  # canonical: the last row starts at column 0
+                yield SkewDiagram(rows)
+            # every later row t has l >= maxcon - span_cap + t - 1 >= 1 once
+            # maxcon + m > span_cap, so no descendant reaches column 0
+            if used < max_size and rows[0][1] - 1 + len(rows) <= span_cap:
+                stack.append(below(rows, used))
                 break
-            yield from rec([(l1, r1)], 1, r1 - l1, r1 - 1)
+        else:
+            stack.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,9 @@ def test_verify_tl_bad_q_range(capsys):
     (["gen", "--max-size", "4", "--span-cap", "-2"], "span_cap must be >= 0, got -2"),
     (["gen", "--max-size", "4", "--span-cap", "-2", "--flavor", "upsilon"],
      "span_cap must be >= 0, got -2"),
+    (["gen", "--max-size", "-1"], "max_size must be >= 0, got -1"),
+    (["gen", "--max-size", "-1", "--flavor", "upsilon"], "max_size must be >= 0, got -1"),
+    (["verify-equivalence", "--max-size", "-1"], "max_size must be >= 0, got -1"),
 ])
 def test_empty_range_is_rejected(capsys, argv, message):
     # each would otherwise pass having checked nothing, or only the empty diagram

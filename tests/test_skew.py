@@ -1,4 +1,6 @@
-from itertools import combinations
+import hashlib
+import sys
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -463,6 +465,24 @@ def test_enumerate_counts_small():
 
 def test_enumerate_count_eleven():
     assert sum(1 for _ in enumerate_skew_diagrams(11)) == 479627
+
+
+def test_enumerate_order_is_pinned():
+    # the sequence, not just the set: the fault-injection witnesses of
+    # equivalence, vertical_dominoes and covering_uniqueness in
+    # test_acceptance::test_registry_check_catches_fault are the first
+    # violations in this order
+    text = "".join("\n".join(map(format_skew, enumerate_skew_diagrams(n, cap))) + "\n\n"
+                   for n in range(8) for cap in (None, 0, 2, n + 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1ac5b5145ffb8e5fa22f034a818abbe5715893b23a46d90020575ce6a032e886")
+
+
+def test_enumerate_deeper_than_recursion_limit():
+    # the first descent runs through the one-column diagrams, one row per level
+    n = 2 * sys.getrecursionlimit()
+    *_, last = islice(enumerate_skew_diagrams(n), n + 1)
+    assert last == SkewDiagram(((0, 1),) * n)
 
 
 def test_enumerate_span_cap_is_a_filter():
