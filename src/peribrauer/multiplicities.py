@@ -6,7 +6,9 @@ depend on the algebra grade r beyond validating the labels.  Cartan
 entries are computed twice, through the reciprocity sum and through an
 explicit witness search, and the two must agree entrywise with every
 entry 0 or 1 -- any discrepancy means the implementation is wrong, so it
-raises instead of warning.
+raises instead of warning.  `cartan_matrix` compares the two forms
+sparsely, on their nonzero entries only, and scans the whole matrix just
+to name the first bad entry once they differ.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .partitions import (
     Partition,
@@ -111,7 +114,9 @@ def cartan_matrix(r: int) -> DecompositionMatrix:
     cell(lam, mu) = 1).  The sum form adds cell(lam, mu) * cell(lam', nu')
     over lam; the witness form marks (nu, mu) when lam also sits inside nu
     with the transpose of nu/lam a member.  The two must agree entrywise
-    with every entry 0 or 1."""
+    with every entry 0 or 1: every sum is 1 and the summed pairs are the
+    witnessed ones.  Only when that fails does a scan over all label pairs
+    run, to raise on the first bad entry in label order."""
     cell = cell_matrix(r)
     labels = cell.col_labels
     ups = {
@@ -126,15 +131,18 @@ def cartan_matrix(r: int) -> DecompositionMatrix:
                 total.update((nu, mu) for mu in up)
             if contains(lam, nu) and is_gamma(conjugate_skew(skew_from_pair(nu, lam))):
                 witness.update((nu, mu) for mu in up)
-    for nu in labels:
-        for mu in labels:
-            s, w = total[nu, mu], int((nu, mu) in witness)
-            if s != w or s > 1:
-                raise ConsistencyError(
-                    f"cartan entry ({format_partition(nu)}, {format_partition(mu)}) "
-                    f"at r={r}: sum={s}, witness={w}"
-                )
-    entries = tuple(tuple(total[nu, mu] for mu in labels) for nu in labels)
+    if total.keys() != witness or any(s != 1 for s in total.values()):
+        for nu in labels:
+            for mu in labels:
+                s, w = total[nu, mu], int((nu, mu) in witness)
+                if s != w or s > 1:
+                    raise ConsistencyError(
+                        f"cartan entry ({format_partition(nu)}, {format_partition(mu)}) "
+                        f"at r={r}: sum={s}, witness={w}"
+                    )
+    entries = tuple(
+        tuple(map(total.get, zip(repeat(nu), labels), repeat(0))) for nu in labels
+    )
     return DecompositionMatrix(r, labels, labels, entries)
 
 

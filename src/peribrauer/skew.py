@@ -14,9 +14,10 @@ strictly above the diagonal through the box of minimal content.  It reads
 each hook off the row intervals and stops at the first failure.
 
 `occ_violation` validates row intervals from outside (`parse_skew`,
-`from_boxes`, criterion 6).  The addable/removable primitives behind the operators
-require skew row intervals instead, as every `SkewDiagram.occ()` and each
-of their own results is, and decide a box from its neighbour rows alone.
+`from_boxes`, `conjugate_skew`, criterion 6).  The addable/removable
+primitives behind the operators require skew row intervals instead, as
+every `SkewDiagram.occ()` and each of their own results is, and decide a
+box from its neighbour rows alone.
 A removal rests on one fact: a skew set is convex in the product order
 ((i, j) <= (i', j') when i <= i' and j <= j').  A box with nothing right
 of or below it (left of or above it) is then maximal (minimal), and
@@ -48,8 +49,9 @@ Occ = dict
 def occ_violation(occ: Occ) -> Optional[tuple[str, int, int]]:
     """Why the row intervals fail to form a skew shape, as a reason and the
     pair of rows it concerns, or None.  The reason is a constant:
-    `parse_skew` formats it into its message, while `_occ_from_boxes` and
-    criterion 6 (`verify.vertical_dominoes`) only test the result."""
+    `parse_skew` and `conjugate_skew` format it into their messages, while
+    `_occ_from_boxes` and criterion 6 (`verify.vertical_dominoes`) only
+    test the result."""
     items = sorted(occ.items())
     for (a, (la, ra)), (b, (lb, rb)) in pairwise(items):
         if b == a + 1:
@@ -430,8 +432,46 @@ def is_gamma(k: SkewDiagram) -> bool:
 
 
 def conjugate_skew(k: SkewDiagram) -> SkewDiagram:
-    """Transpose of the box set, re-canonicalised."""
-    return SkewDiagram.from_boxes((j, i) for i, j in k.boxes())
+    """Transpose of the box set, re-canonicalised, read off the row
+    intervals in one sweep over the columns.
+
+    Once `occ_violation` accepts the occupied rows, l and r fall weakly
+    down them, and no column meets two rows with empty rows between them.
+    So the rows with r >= j are a prefix of the occupied rows and those
+    with l < j a suffix, and column j holds the occupied rows t..b where
+    the two overlap, one row interval: transposed row j is (t - 1, b].  As
+    j falls from the largest r to the smallest l + 1, both t and b only
+    move down, so each advances through the rows once.  Rows come out
+    bottom first, an empty column taking the right end of the nearest
+    occupied one below, as in `from_occ`, and the columns shift by the
+    first occupied row's index less one, the least left end.
+    """
+    occ = k.occ()
+    problem = occ_violation(occ)
+    if problem:
+        reason, a, b = problem
+        raise ValueError(
+            f"not a skew diagram ({reason} from row {a} to row {b}): {format_skew(k)!r}"
+        )
+    if not occ:
+        return EMPTY
+    idx, itv = list(occ), list(occ.values())
+    last = len(idx) - 1
+    shift = idx[0] - 1
+    t = b = 0
+    out = []
+    for j in range(itv[0][1], itv[-1][0], -1):
+        while itv[t][0] >= j:
+            t += 1
+        while b < last and itv[b + 1][1] >= j:
+            b += 1
+        if t <= b:
+            fill = idx[b] - shift
+            out.append((idx[t] - 1 - shift, fill))
+        else:
+            out.append((fill, fill))
+    out.reverse()
+    return SkewDiagram(tuple(out))
 
 
 # ---------------------------------------------------------------------------

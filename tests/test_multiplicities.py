@@ -152,6 +152,25 @@ def test_cartan_gate_catches_broken_form(monkeypatch, capsys, name):
     assert "witness: r=2 error=cartan entry" in failed[0]
 
 
+@pytest.mark.parametrize("name, r, entry", [
+    ("conjugate_skew", 2, "([1,1], [2]) at r=2: sum=1, witness=0"),
+    ("conjugate_skew", 3, "([3], [1]) at r=3: sum=0, witness=1"),
+    ("conjugate_skew", 4, "([4], [2,2]) at r=4: sum=0, witness=1"),
+    ("conjugate_skew", 5, "([5], [3,2]) at r=5: sum=0, witness=1"),
+    ("conjugate", 2, "([2], [2]) at r=2: sum=2, witness=1"),
+    ("conjugate", 3, "([3], [3]) at r=3: sum=2, witness=1"),
+    ("conjugate", 4, "([4], [4]) at r=4: sum=2, witness=1"),
+    ("conjugate", 5, "([5], [5]) at r=5: sum=2, witness=1"),
+])
+def test_cartan_gate_names_first_bad_entry(monkeypatch, name, r, entry):
+    # a broken transpose is caught by the sparse comparison, and the
+    # message names the first bad entry in label order
+    monkeypatch.setattr(multiplicities, name, lambda x: x)
+    with pytest.raises(ConsistencyError) as exc:
+        cartan_matrix(r)
+    assert str(exc.value) == f"cartan entry {entry}"
+
+
 def test_prop_diff2():
     rep = rim_two_hooks(8)
     assert rep.ok

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 from itertools import combinations, islice
 
@@ -403,6 +404,49 @@ def test_conjugate_skew():
     assert conjugate_skew(STAIR4) == skew_from_pair((2, 2, 1), (1,))
     for k in NINE | {skew_from_pair((4, 2), (2,)), EMPTY}:
         assert conjugate_skew(conjugate_skew(k)) == k
+
+
+def _box_transpose(k):
+    return SkewDiagram.from_boxes((j, i) for i, j in k.boxes())
+
+
+def test_conjugate_skew_matches_box_transpose():
+    # the column sweep against transposing the box set, on every diagram
+    # with at most 8 boxes
+    n = 0
+    for k in enumerate_skew_diagrams(8):
+        assert conjugate_skew(k) == _box_transpose(k), k
+        n += 1
+    assert n == 13046
+    # and on random row tuples: empty or reversed rows anywhere (the first
+    # row included), frames not starting at column 0, and shapes that are
+    # not skew, which both routes must refuse
+    rng = random.Random(15)
+    refused = 0
+    for _ in range(20000):
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            l = rng.randint(-2, 4)
+            rows.append((l, l + rng.randint(-1, 3)))
+        k = SkewDiagram(tuple(rows))
+        try:
+            want = _box_transpose(k)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a skew diagram"):
+                conjugate_skew(k)
+            refused += 1
+        else:
+            assert conjugate_skew(k) == want, rows
+    assert 0 < refused < 20000
+
+
+def test_conjugate_skew_names_the_violation():
+    k = SkewDiagram(((0, 1), (0, 3)))
+    with pytest.raises(ValueError) as exc:
+        conjugate_skew(k)
+    assert str(exc.value) == (
+        "not a skew diagram (right endpoints increase from row 1 to row 2): '1:0..1;2:0..3'"
+    )
 
 
 @given(
