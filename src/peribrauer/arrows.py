@@ -64,18 +64,11 @@ def weight_of_partition(p: Partition) -> WeightDiagram:
 
 def partition_of_weight(w: WeightDiagram) -> Partition:
     """Inverse of `weight_of_partition`."""
-    desc = sorted(w.blacks, reverse=True)
-    parts = []
-    i = 0
-    for pos in desc:
-        part = pos + i
-        if part < 0:
-            raise ValueError("not the weight diagram of a partition")
-        parts.append(part)
-        i += 1
-    # Below the window everything is black and contributes the constant
-    # part (window_lo - 1) + i; a partition needs that constant to be 0.
-    if w.window_lo - 1 + i != 0:
+    parts = [pos + i for i, pos in enumerate(sorted(w.blacks, reverse=True))]
+    # The parts fall weakly, so only the last can be negative.  Below the
+    # window everything is black and contributes the constant part
+    # (window_lo - 1) + len(parts); a partition needs that constant to be 0.
+    if (parts and parts[-1] < 0) or w.window_lo - 1 + len(parts) != 0:
         raise ValueError("not the weight diagram of a partition")
     while parts and parts[-1] == 0:
         parts.pop()
@@ -113,15 +106,22 @@ def arrow_pairs(w: WeightDiagram) -> list[ArrowPair]:
     return [p for p in wb_pairs(w) if is_arrow_pair(w, p)]
 
 
+def _check_wb_pair(pair, lo: int, hi: int, s_black: bool, t_black: bool) -> None:
+    """Raise ValueError unless the pair (s, t), s < t, lies in the window
+    [lo, hi] and its two positions, black as given, differ in colour."""
+    s, t = pair
+    if not (lo <= s < t <= hi):
+        raise ValueError(f"pair {pair} outside window")
+    if s_black == t_black:
+        raise ValueError(f"{pair} is not a white-black pair")
+
+
 def flip(w: WeightDiagram, pair) -> WeightDiagram:
     """Swap the colours of a wb pair.  Flipping the same pair again undoes
     the move, so oppositely coloured positions are accepted either way
     round; equal colours are rejected."""
     s, t = pair
-    if not (w.window_lo <= s < t <= w.window_hi):
-        raise ValueError(f"pair {pair} outside window")
-    if w.is_black(s) == w.is_black(t):
-        raise ValueError(f"{pair} is not a white-black pair")
+    _check_wb_pair(pair, w.window_lo, w.window_hi, w.is_black(s), w.is_black(t))
     return WeightDiagram(w.window_lo, w.window_hi,
                          w.blacks ^ frozenset((s, t)))
 
@@ -172,15 +172,13 @@ def rim_hook_of_flip(p: Partition, pair) -> FlipHook:
     p = check_partition(p)
     n = sum(p)
     s, t = pair
-    if not (-n - 2 <= s < t <= n + 2):
-        raise ValueError(f"pair {pair} outside window")
     beta = {part - i for i, part in enumerate(p)}
+    s_black = s in beta or s <= -len(p)
+    _check_wb_pair(pair, -n - 2, n + 2, s_black, t in beta or t <= -len(p))
     beta.update(range(min(s, -len(p)), 1 - len(p)))
-    if (s in beta) == (t in beta):
-        raise ValueError(f"{pair} is not a white-black pair")
     # blacks[i] = #{blacks in (s, s + i]}
     blacks = list(accumulate((c in beta for c in range(s + 1, t + 1)), initial=0))
-    ht = (s in beta) + blacks[-1]
+    ht = s_black + blacks[-1]
     wd = t - s - ht + 1
     deltas = tuple(i - 2 * b for i, b in enumerate(blacks[:-1]))
     beta ^= {s, t}

@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import arrows, multiplicities, procedures, skew, verify
-from .partitions import format_partition, parse_partition
+from .partitions import check_grade, format_partition, parse_partition
 
 
 def _parse_diagram(literal: str | None, pair: str | None) -> skew.SkewDiagram:
@@ -124,8 +124,7 @@ def _print_check(res: verify.CheckResult) -> int:
 
 def cmd_verify_all(args) -> int:
     # refuse the grade before the first check runs, not at `tl_relations`
-    if args.r_max < 2:
-        raise ValueError(f"r_max must be >= 2, got {args.r_max}")
+    check_grade(args.r_max, "r_max")
     results = [check(args.max_size, args.r_max) for check in verify.REGISTRY.values()]
     ok = all(res.ok for res in results)
     if args.format == "json":

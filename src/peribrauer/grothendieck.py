@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .partitions import (
     Partition,
     add_q,
+    check_grade,
     format_partition,
     labels_L,
     remove_q,
@@ -105,8 +106,7 @@ def verify_tl(r_max: int, q_lo: int, q_hi: int) -> TLReport:
     `apply_Rq` on the class itself, so an operator fault still reaches
     every relation.  R of the zero vector is zero without a lookup.
     """
-    if r_max < 2:
-        raise ValueError(f"r_max must be >= 2, got {r_max}")
+    check_grade(r_max, "r_max")
     if q_lo > q_hi:
         raise ValueError(f"q range {q_lo}:{q_hi} is empty: it needs LO <= HI")
     report = TLReport(r_max=r_max, q_lo=q_lo, q_hi=q_hi)

@@ -43,6 +43,15 @@ class DecompositionMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
+def _check_label(r: int, p: Partition, kind: str) -> Partition:
+    """p as a tuple, if it is a label of the grade-r algebra of the given
+    kind: "cell" (`labels_L`) or "simple" (`labels_Lambda`)."""
+    p = tuple(p)
+    if p not in (labels_L(r) if kind == "cell" else labels_Lambda(r)):
+        raise ValueError(f"{format_partition(p)} is not a {kind} label for r={r}")
+    return p
+
+
 def _gamma_pair(lam: Partition, mu: Partition) -> bool:
     return contains(lam, mu) and is_gamma(skew_from_pair(mu, lam))
 
@@ -50,11 +59,7 @@ def _gamma_pair(lam: Partition, mu: Partition) -> bool:
 def cell_mult(r: int, lam: Partition, mu: Partition) -> int:
     """Multiplicity of the simple labelled mu in the cell module labelled
     lam, for the grade-r algebra."""
-    lam, mu = tuple(lam), tuple(mu)
-    if lam not in set(labels_L(r)):
-        raise ValueError(f"{format_partition(lam)} is not a cell label for r={r}")
-    if mu not in set(labels_Lambda(r)):
-        raise ValueError(f"{format_partition(mu)} is not a simple label for r={r}")
+    lam, mu = _check_label(r, lam, "cell"), _check_label(r, mu, "simple")
     return 1 if _gamma_pair(lam, mu) else 0
 
 
@@ -72,10 +77,7 @@ def cell_matrix(r: int) -> DecompositionMatrix:
 def cartan_mult_sum(r: int, nu: Partition, mu: Partition) -> int:
     """Projective-module multiplicity via the reciprocity sum over all cell
     labels lam of cell(lam, mu) * cell(lam', nu')."""
-    nu, mu = tuple(nu), tuple(mu)
-    lambdas = set(labels_Lambda(r))
-    if nu not in lambdas or mu not in lambdas:
-        raise ValueError(f"labels must lie in the simple label set for r={r}")
+    nu, mu = _check_label(r, nu, "simple"), _check_label(r, mu, "simple")
     nu_c = conjugate(nu)
     # lam' sits inside nu' exactly when lam sits inside nu, so both
     # containments are tested before either membership test
@@ -93,10 +95,7 @@ def cartan_mult_witness(r: int, nu: Partition, mu: Partition) -> int:
     """Same multiplicity via the witness form: 1 iff some cell label lam
     sits inside both mu and nu with mu/lam a member and the transpose of
     nu/lam a member."""
-    nu, mu = tuple(nu), tuple(mu)
-    lambdas = set(labels_Lambda(r))
-    if nu not in lambdas or mu not in lambdas:
-        raise ValueError(f"labels must lie in the simple label set for r={r}")
+    nu, mu = _check_label(r, nu, "simple"), _check_label(r, mu, "simple")
     for lam in labels_L(r):
         if (
             contains(lam, mu)

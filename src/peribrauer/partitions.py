@@ -35,6 +35,13 @@ def check_partition(parts) -> Partition:
     return p
 
 
+def check_grade(r: int, name: str = "r") -> None:
+    """Raise ValueError, calling the grade `name`, if r is below 2, the
+    least grade of the algebras."""
+    if r < 2:
+        raise ValueError(f"{name} must be >= 2, got {r}")
+
+
 def size(p: Partition) -> int:
     return sum(p)
 
@@ -123,8 +130,7 @@ def label_sort_key(p: Partition):
 @cache
 def labels_Lambda(r: int) -> tuple[Partition, ...]:
     """Simple-module labels: partitions of r, r-2, ... down to 2 or 1."""
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
+    check_grade(r)
     out = []
     n = r
     while n > 0:

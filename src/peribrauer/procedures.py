@@ -43,8 +43,9 @@ from .skew import (
     _occ_remove,
     _pieces,
     _removable_positions,
-    is_gamma,
+    check_universe,
     enumerate_skew_diagrams,
+    is_gamma,
 )
 
 
@@ -127,13 +128,7 @@ def generate_upsilon(max_size: int, barred: bool,
     range, and the u-addable (q-1)-boxes of E over the extension range.
     Only the contents with a first box are visited.
     """
-    if max_size < 0:
-        raise ValueError(f"max_size must be >= 0, got {max_size}")
-    if span_cap is None:
-        span_cap = max_size + 1
-    if span_cap < 0:
-        raise ValueError(f"span_cap must be >= 0, got {span_cap}")
-
+    span_cap = check_universe(max_size, span_cap)
     seen = {EMPTY}
     frontier = [EMPTY]
     while frontier:
@@ -190,8 +185,7 @@ def equivalence_report(max_size: int, span_cap: Optional[int] = None,
     # accepts only workers=1, the value the benchmark passes; there is no pool
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
-    if span_cap is None:
-        span_cap = max_size + 1
+    span_cap = check_universe(max_size, span_cap)
     upsilon = generate_upsilon(max_size, barred=False, span_cap=span_cap)
     upsilon_bar = generate_upsilon(max_size, barred=True, span_cap=span_cap)
     report = EquivalenceReport(max_size=max_size, span_cap=span_cap)

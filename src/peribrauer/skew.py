@@ -13,8 +13,8 @@ and checks each hook for two conditions: width = height + 1, and no box
 strictly above the diagonal through the box of minimal content.  It reads
 each hook off the row intervals and stops at the first failure.
 
-`occ_violation` validates row intervals from outside (`parse_skew`,
-`from_boxes`, `conjugate_skew`, criterion 6).  The addable/removable
+`occ_violation` validates row intervals from outside (`parse_skew` and
+`conjugate_skew` through `check_skew`, criterion 6).  The addable/removable
 primitives behind the operators require skew row intervals instead, as
 every `SkewDiagram.occ()` and each of their own results is, and decide a
 box from its neighbour rows alone.
@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .partitions import INPUT_LIMIT, Partition, contains, format_partition
+from .partitions import INPUT_LIMIT, Partition, check_partition, contains, format_partition
 
 # Working form used by the algorithms: {row: (l, r)} with l < r, mapping
 # each occupied row (any integer) to its column interval (l, r] = l+1..r.
@@ -49,9 +49,8 @@ Occ = dict
 def occ_violation(occ: Occ) -> Optional[tuple[str, int, int]]:
     """Why the row intervals fail to form a skew shape, as a reason and the
     pair of rows it concerns, or None.  The reason is a constant:
-    `parse_skew` and `conjugate_skew` format it into their messages, while
-    `_occ_from_boxes` and criterion 6 (`verify.vertical_dominoes`) only
-    test the result."""
+    `check_skew` formats it into the refusal, while criterion 6
+    (`verify.vertical_dominoes`) only tests the result."""
     items = sorted(occ.items())
     for (a, (la, ra)), (b, (lb, rb)) in pairwise(items):
         if b == a + 1:
@@ -64,19 +63,16 @@ def occ_violation(occ: Occ) -> Optional[tuple[str, int, int]]:
     return None
 
 
-def _occ_from_boxes(boxes: Iterable[tuple[int, int]]) -> Occ:
-    rows: dict[int, list[int]] = {}
-    for i, j in boxes:
-        rows.setdefault(i, []).append(j)
-    occ = {}
-    for i, cols in rows.items():
-        lo, hi = min(cols), max(cols)
-        if hi - lo + 1 != len(set(cols)):
-            raise ValueError(f"row {i} is not contiguous: {sorted(cols)}")
-        occ[i] = (lo - 1, hi)
-    if occ_violation(occ):
-        raise ValueError("box set is not a skew diagram")
-    return occ
+def check_skew(occ: Occ, given: str | SkewDiagram) -> None:
+    """Raise ValueError if the row intervals are not a skew shape, naming
+    the reason and rows from `occ_violation` and `given`, the input as
+    text or as the `SkewDiagram` it was read from."""
+    problem = occ_violation(occ)
+    if problem:
+        reason, a, b = problem
+        raise ValueError(
+            f"not a skew diagram ({reason} from row {a} to row {b}): {str(given)!r}"
+        )
 
 
 def _occ_add(occ: Occ, i: int, j: int) -> Occ:
@@ -129,10 +125,6 @@ class SkewDiagram:
                 out[i - lo] = (fill, fill)
         return SkewDiagram(tuple(out))
 
-    @staticmethod
-    def from_boxes(boxes: Iterable[tuple[int, int]]) -> "SkewDiagram":
-        return SkewDiagram.from_occ(_occ_from_boxes(boxes))
-
     def occ(self) -> Occ:
         return {i + 1: itv for i, itv in enumerate(self.rows) if itv[0] < itv[1]}
 
@@ -179,7 +171,11 @@ def skew_from_pair(outer: Partition, inner: Partition) -> SkewDiagram:
     dropped, and the columns shift by lefts[hi], the left end of the last
     occupied row: left ends fall weakly down a partition, so it is the
     least.  An interior empty row becomes (fill, fill), fill the right end
-    of the nearest occupied row below."""
+    of the nearest occupied row below.
+
+    Read upward from a zero row below row hi, neither end of rows lo..hi
+    falls in a pair of partitions; an end that does is a negative or a
+    rising part, and `check_partition` raises on the argument with it."""
     if not contains(inner, outer):
         raise ValueError(
             f"{format_partition(inner)} is not contained in {format_partition(outer)}"
@@ -194,12 +190,18 @@ def skew_from_pair(outer: Partition, inner: Partition) -> SkewDiagram:
         hi -= 1
     shift = lefts[hi]
     out = []
+    l2 = r2 = 0  # the row below row i
     for i in range(hi, lo - 1, -1):
-        if lefts[i] < outer[i]:
-            fill = outer[i] - shift
-            out.append((lefts[i] - shift, fill))
+        l, r = lefts[i], outer[i]
+        if l < l2 or r < r2:
+            check_partition(outer)
+            check_partition(inner)
+        if l < r:
+            fill = r - shift
+            out.append((l - shift, fill))
         else:
             out.append((fill, fill))
+        l2, r2 = l, r
     out.reverse()
     return SkewDiagram(tuple(out))
 
@@ -447,12 +449,7 @@ def conjugate_skew(k: SkewDiagram) -> SkewDiagram:
     first occupied row's index less one, the least left end.
     """
     occ = k.occ()
-    problem = occ_violation(occ)
-    if problem:
-        reason, a, b = problem
-        raise ValueError(
-            f"not a skew diagram ({reason} from row {a} to row {b}): {format_skew(k)!r}"
-        )
+    check_skew(occ, k)
     if not occ:
         return EMPTY
     idx, itv = list(occ), list(occ.values())
@@ -528,6 +525,19 @@ def hook_decompositions(k: SkewDiagram) -> list[frozenset]:
 # Enumeration of canonical diagrams
 
 
+def check_universe(max_size: int, span_cap: Optional[int] = None) -> int:
+    """The span cap of the universe of diagrams with at most `max_size`
+    boxes and content span at most `span_cap`, max_size + 1 by default;
+    raise ValueError if either bound is negative."""
+    if max_size < 0:
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
+    if span_cap is None:
+        span_cap = max_size + 1
+    if span_cap < 0:
+        raise ValueError(f"span_cap must be >= 0, got {span_cap}")
+    return span_cap
+
+
 def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
                             ) -> Iterator[SkewDiagram]:
     """All canonical skew diagrams with at most `max_size` boxes and content
@@ -541,12 +551,7 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
     r1 + m - 2 >= m - 1, so the stack of child iterators, one per row
     count, holds at most span_cap + 1 of them.
     """
-    if max_size < 0:
-        raise ValueError(f"max_size must be >= 0, got {max_size}")
-    if span_cap is None:
-        span_cap = max_size + 1
-    if span_cap < 0:
-        raise ValueError(f"span_cap must be >= 0, got {span_cap}")
+    span_cap = check_universe(max_size, span_cap)
     yield EMPTY
 
     def below(rows: tuple, used: int):
@@ -627,10 +632,7 @@ def parse_skew(s: str) -> SkewDiagram:
             raise ValueError(f"{problem} at piece {pos} ({piece!r}) of {s!r}")
         occ[i] = (l, r)
     occ = {i: v for i, v in occ.items() if v[0] < v[1]}
-    problem = occ_violation(occ)
-    if problem:
-        reason, a, b = problem
-        raise ValueError(f"not a skew diagram ({reason} from row {a} to row {b}): {s!r}")
+    check_skew(occ, s)
     check_input_limit(occ)
     return SkewDiagram.from_occ(occ)
 

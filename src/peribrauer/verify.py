@@ -46,8 +46,7 @@ def _timed(check):
 
 def _sizes(max_size: int) -> range:
     """0..max_size, the partition sizes a check runs over."""
-    if max_size < 0:
-        raise ValueError(f"max_size must be >= 0, got {max_size}")
+    skew.check_universe(max_size)
     return range(max_size + 1)
 
 
@@ -188,8 +187,7 @@ def cartan(r_max: int) -> CheckResult:
     labels, the Cartan sum form equals the witness form and the assembled
     matrix entry, and is 0 or 1.  A `ConsistencyError` from the matrix is
     a violation of its grade."""
-    if r_max < 2:
-        raise ValueError(f"r_max must be >= 2, got {r_max}")
+    partitions.check_grade(r_max, "r_max")
     checked, bad = 0, []
     for r in range(2, r_max + 1):
         try:

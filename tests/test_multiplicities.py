@@ -41,11 +41,11 @@ def test_cell_mult_diagonal():
 
 
 def test_cell_mult_label_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\[1\] is not a cell label for r=2$"):
         cell_mult(2, (1,), (2,))  # wrong parity for r=2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\[1,1\] is not a simple label for r=3$"):
         cell_mult(3, (3,), (1, 1))  # mu not a simple label for r=3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\[\] is not a simple label for r=2$"):
         cell_mult(2, (2,), ())  # empty is never a simple label
 
 
@@ -120,9 +120,9 @@ def test_cartan_diagonal_r3():
 
 
 def test_cartan_label_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\[\] is not a simple label for r=2$"):
         cartan_mult_sum(2, (), (2,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\[2\] is not a simple label for r=3$"):
         cartan_mult_witness(3, (2,), (3,))
     with pytest.raises(ValueError, match="r_max must be >= 2, got 1"):
         cartan(1)  # no grade to check

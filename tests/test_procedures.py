@@ -118,6 +118,20 @@ def test_generate_trivial():
         generate_upsilon(-1, barred=False)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n, cap: next(enumerate_skew_diagrams(n, cap)),
+    lambda n, cap: generate_upsilon(n, barred=False, span_cap=cap),
+    lambda n, cap: equivalence_report(n, cap),
+], ids=["enumerate_skew_diagrams", "generate_upsilon", "equivalence_report"])
+@pytest.mark.parametrize("max_size,span_cap,message", [
+    (-1, None, "max_size must be >= 0, got -1"),
+    (4, -2, "span_cap must be >= 0, got -2"),
+])
+def test_negative_universe_bounds_refused(build, max_size, span_cap, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(max_size, span_cap)
+
+
 def _reference_closure(max_size, barred, span_cap=None):
     """The closure by the one-content operators: P at every q of the
     content range, E at every q of the extension range."""

@@ -1,12 +1,13 @@
 import hashlib
 import random
+import re
 import sys
 from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, strategies as st
 
-from peribrauer.partitions import partitions_of, subpartitions
+from peribrauer.partitions import check_partition, partitions_of, subpartitions
 from peribrauer.skew import (
     EMPTY,
     Hook,
@@ -15,6 +16,7 @@ from peribrauer.skew import (
     _occ_add,
     _occ_remove,
     _removable_positions,
+    check_skew,
     components,
     conjugate_skew,
     covering,
@@ -48,6 +50,29 @@ def realization(k: SkewDiagram):
     outer = tuple(r for _, r in k.rows)
     inner = tuple(l for l, _ in k.rows if l > 0)
     return outer, inner
+
+
+def from_boxes(boxes) -> SkewDiagram:
+    """The canonical diagram of a finite box set, read from outside: each
+    row must be contiguous, and the rows must pass `check_skew`, which
+    names the reason and rows of a refusal."""
+    rows: dict[int, list[int]] = {}
+    for i, j in boxes:
+        rows.setdefault(i, []).append(j)
+    occ = {}
+    for i, cols in rows.items():
+        lo, hi = min(cols), max(cols)
+        if hi - lo + 1 != len(set(cols)):
+            raise ValueError(f"row {i} is not contiguous: {sorted(cols)}")
+        occ[i] = (lo - 1, hi)
+    check_skew(occ, ";".join(f"{i}:{l}..{r}" for i, (l, r) in sorted(occ.items())))
+    return SkewDiagram.from_occ(occ)
+
+
+def test_from_boxes_names_the_reason():
+    with pytest.raises(ValueError, match=r"^not a skew diagram \(right endpoints increase "
+                                         r"from row 1 to row 2\): '1:0..1;2:0..3'$"):
+        from_boxes([(1, 1), (2, 1), (2, 2), (2, 3)])
 
 
 def brute_is_skew(boxes):
@@ -94,6 +119,18 @@ def test_from_pair_basics():
         skew_from_pair((3,), (1, 1, 1))
 
 
+@pytest.mark.parametrize("outer,inner,bad", [
+    ((1, 3), (), (1, 3)),  # outer rises
+    ((2, 2), (0, 1), (0, 1)),  # inner has a zero part and rises
+    ((2,), (-1,), (-1,)),  # inner has a negative part
+])
+def test_from_pair_refuses_non_partitions(outer, inner, bad):
+    with pytest.raises(ValueError) as want:
+        check_partition(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        skew_from_pair(outer, inner)
+
+
 def test_from_pair_matches_box_difference():
     # the rows read straight off the two tuples against the box set of
     # outer minus inner, canonicalised from outside
@@ -105,7 +142,7 @@ def test_from_pair_matches_box_difference():
         for mu in partitions_of(n):
             for lam in subpartitions(mu):
                 pairs += 1
-                want = SkewDiagram.from_boxes(boxes(mu) - boxes(lam))  # EMPTY if equal
+                want = from_boxes(boxes(mu) - boxes(lam))  # EMPTY if equal
                 assert skew_from_pair(mu, lam) == want, (mu, lam)
     assert pairs == 2888
 
@@ -117,7 +154,7 @@ def test_from_pair_disjoint_boxes():
 
 
 def test_translation_invariance():
-    a = SkewDiagram.from_boxes([(5, 7), (5, 8)])
+    a = from_boxes([(5, 7), (5, 8)])
     assert a == DOMINO
 
 
@@ -277,7 +314,7 @@ def test_occ_remove_matches_box_removal():
                 rest = _occ_remove(o, *b)
                 assert all(l < r for l, r in rest.values()), (o, b)
                 assert box_set(rest) == box_set(o) - {b}, (o, b)
-                assert SkewDiagram.from_occ(rest) == SkewDiagram.from_boxes(box_set(rest))
+                assert SkewDiagram.from_occ(rest) == from_boxes(box_set(rest))
                 emptied += b[0] not in rest
     assert emptied > 0
 
@@ -335,7 +372,7 @@ def _is_hook_reference(boxes) -> bool:
     if seen != boxes or len({j - i for i, j in boxes}) != len(boxes):
         return False
     try:
-        SkewDiagram.from_boxes(boxes)
+        from_boxes(boxes)
     except ValueError:
         return False
     return True
@@ -363,7 +400,7 @@ def test_hook_check_matches_reference():
         (DOMINO, True),
         (SkewDiagram(((0, 1), (0, 1))), False),  # vertical domino
         (HOOK4, True),
-        (SkewDiagram.from_boxes([(1, 1), (1, 2), (1, 3), (2, 1)]), False),
+        (from_boxes([(1, 1), (1, 2), (1, 3), (2, 1)]), False),
     ],
 )
 def test_gamma0_fixtures(diagram, expected):
@@ -407,7 +444,7 @@ def test_conjugate_skew():
 
 
 def _box_transpose(k):
-    return SkewDiagram.from_boxes((j, i) for i, j in k.boxes())
+    return from_boxes((j, i) for i, j in k.boxes())
 
 
 def test_conjugate_skew_matches_box_transpose():
@@ -555,7 +592,7 @@ def test_enumeration_matches_brute_validity():
         boxes = {cells[t] for t in range(9) if bits >> t & 1}
         ok = brute_is_skew(boxes)
         try:
-            k = SkewDiagram.from_boxes(boxes)
+            k = from_boxes(boxes)
         except ValueError:
             k = None
         assert (k is not None) == ok

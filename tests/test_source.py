@@ -38,3 +38,32 @@ def test_no_dead_private_helper_in_src():
     dead = [f"{name}:{node.name}" for name, node in helpers
             if used[node.name] <= _references(node)[node.name]]
     assert not dead, dead
+
+
+def _template(node) -> str | None:
+    """The message of `raise E("...")` or `raise E(f"...")`, each f-string
+    field read as `{}`; None for any other raise."""
+    exc = node.exc
+    if not (isinstance(exc, ast.Call) and exc.args):
+        return None
+    msg = exc.args[0]
+    if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+        return msg.value
+    if isinstance(msg, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in msg.values)
+    return None
+
+
+def test_one_raise_site_per_message():
+    # a refusal is written once, in the function that checks it, and every
+    # caller calls that function instead of raising the same message again
+    sites: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and (template := _template(node)) is not None:
+                sites.setdefault(template, []).append(f"{path.name}:{node.lineno}")
+    assert sites
+    repeated = [f"{template!r} at {', '.join(where)}"
+                for template, where in sorted(sites.items()) if len(where) > 1]
+    assert not repeated, "\n".join(repeated)
