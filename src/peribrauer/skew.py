@@ -173,21 +173,26 @@ def skew_from_pair(outer: Partition, inner: Partition) -> SkewDiagram:
     least.  An interior empty row becomes (fill, fill), fill the right end
     of the nearest occupied row below.
 
-    Read upward from a zero row below row hi, neither end of rows lo..hi
-    falls in a pair of partitions; an end that does is a negative or a
-    rising part, and `check_partition` raises on the argument with it."""
+    A pair's last parts are positive and no row end rises above the row
+    below.  A dropped row has lefts == outer, so the trim loops test one
+    end of it, the row loop tests the rest, and `check_partition` refuses."""
     if not contains(inner, outer):
         raise ValueError(
             f"{format_partition(inner)} is not contained in {format_partition(outer)}"
         )
     lefts = tuple(inner) + (0,) * (len(outer) - len(inner))
-    lo, hi = 0, len(outer) - 1
+    lo, hi, bad = 0, len(outer) - 1, False
     while lo <= hi and lefts[lo] == outer[lo]:
+        bad = bad or lo < hi and outer[lo] < outer[lo + 1]
         lo += 1
+    while lo < hi and lefts[hi] == outer[hi]:
+        bad = bad or lefts[hi - 1] < outer[hi]
+        hi -= 1
+    if bad or outer and outer[-1] < 1 or inner and inner[-1] < 1:
+        check_partition(outer)
+        check_partition(inner)
     if lo > hi:
         return EMPTY
-    while lefts[hi] == outer[hi]:
-        hi -= 1
     shift = lefts[hi]
     out = []
     l2 = r2 = 0  # the row below row i

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from . import arrows, grothendieck, multiplicities, partitions, procedures, skew
@@ -208,18 +209,37 @@ def cartan(r_max: int) -> CheckResult:
     return CheckResult("cartan", {"r_max": r_max}, checked, bad)
 
 
+def _connected(boxes: frozenset) -> bool:
+    """Whether the nonempty box set is edge-connected, by a flood fill."""
+    left, todo = set(boxes), [next(iter(boxes))]
+    while todo:
+        i, j = box = todo.pop()
+        if box in left:
+            left.remove(box)
+            todo += (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)
+    return not left
+
+
 @_timed
 def covering_uniqueness(max_size: int) -> CheckResult:
-    """Criterion 9: every diagram with at most `max_size` boxes has exactly
-    one decomposition into pairwise disjoint-or-nested hooks, and it is
-    the covering."""
-    checked, bad = 0, []
-    for k in skew.enumerate_skew_diagrams(max_size):
-        checked += 1
-        decs = skew.hook_decompositions(k)
-        if len(decs) != 1 or decs[0] != frozenset(h.boxes for h in skew.covering(k)):
-            bad.append({"diagram": format_skew(k), "decompositions": len(decs)})
-    return CheckResult("covering_uniqueness", {"max_size": max_size}, checked, bad)
+    """Criterion 9: every diagram with at most `max_size` boxes has one
+    decomposition into pairwise disjoint-or-nested hooks, its covering, whose
+    member hooks have even size.  Hooks are edge-connected, so k decomposes as
+    its components do, and only they, the `connected` diagrams, are searched."""
+    connected, bad = 0, []
+    for checked, k in enumerate(skew.enumerate_skew_diagrams(max_size), 1):
+        boxes, cov = k.boxes(), skew.covering(k)
+        hooks = [h.boxes for h in cov]
+        ok = (sum(map(len, hooks)) == len(boxes) and frozenset().union(*hooks) == boxes
+              and not any(skew.is_gamma0(h) for h in cov if len(h.boxes) % 2)
+              and all(skew.disjoint_or_nested(a, b) for a, b in combinations(hooks, 2)))
+        if boxes and _connected(boxes):
+            connected += 1
+            ok = skew.hook_decompositions(k) == [frozenset(hooks)] and ok
+        if not ok:
+            bad.append({"diagram": format_skew(k), "decompositions": len(skew.hook_decompositions(k))})
+    return CheckResult("covering_uniqueness", {"max_size": max_size}, checked, bad,
+                       counts={"connected": connected})
 
 
 # name -> the check run at `verify-all --max-size N --r-max R`, criteria 2-9

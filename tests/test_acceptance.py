@@ -25,17 +25,7 @@ from peribrauer.skew import (
     is_gamma,
 )
 
-NINE_CONNECTED = {
-    SkewDiagram(((0, 2),)),
-    SkewDiagram(((1, 3), (0, 2))),
-    SkewDiagram(((2, 3), (0, 3))),
-    SkewDiagram(((0, 3), (0, 3))),
-    SkewDiagram(((2, 4), (1, 3), (0, 2))),
-    SkewDiagram(((2, 4), (2, 3), (0, 3))),
-    SkewDiagram(((3, 4), (1, 4), (0, 2))),
-    SkewDiagram(((3, 4), (2, 4), (0, 3))),
-    SkewDiagram(((3, 4), (3, 4), (0, 4))),
-}
+from test_skew import NINE
 
 
 def report(name, seconds, ok, detail=""):
@@ -57,7 +47,7 @@ def test_criterion_1_size_six_members():
     connected = {
         k for k in sets["gamma"] if not k.is_empty and len(components(k)) == 1
     }
-    ok = ok and connected == NINE_CONNECTED
+    ok = ok and connected == NINE
     ok = ok and SkewDiagram(()) in sets["gamma"]
     report(
         "criterion 1: the nine connected members of size <= 6, box-exact",
@@ -115,8 +105,20 @@ def test_criterion_8_cartan_matrices():
 
 
 def test_criterion_9_covering_uniqueness():
-    check("criterion 9: unique hook decomposition equals the covering, size <= 8",
-          verify.covering_uniqueness(8), 13046)
+    check("criterion 9: unique hook decomposition equals the covering, size <= 10",
+          verify.covering_uniqueness(10), 144327, connected=2271)
+
+
+def test_criterion_9_connected_split():
+    # the flood fill agrees with the components, and the connected
+    # diagrams by size are the parallelogram polyominoes (OEIS A006958)
+    by_size = [0] * 9
+    for k in enumerate_skew_diagrams(8):
+        if not k.is_empty:
+            connected = verify._connected(k.boxes())
+            assert connected == (len(components(k)) == 1), k
+            by_size[k.size] += connected
+    assert by_size[1:] == [1, 2, 4, 9, 20, 46, 105, 242]
 
 
 @pytest.mark.parametrize("name", list(verify.REGISTRY))
@@ -148,6 +150,14 @@ def test_negative_sizes_refused():
      "cartan", 69, 28, {"r": 2, "nu": "[2]", "mu": "[2]", "sum": 1, "witness": 0, "matrix": 1}),
     ("skew", "covering", lambda f: lambda k: (),
      "covering_uniqueness", 98, 97, {"diagram": "1:0..1", "decompositions": 1}),
+    # the search finds every connected diagram's decomposition twice
+    ("skew", "hook_decompositions", lambda f: lambda k: f(k) * 2,
+     "covering_uniqueness", 98, 16, {"diagram": "1:0..1", "decompositions": 2}),
+    # a disconnected diagram loses its first hook, which only the
+    # decomposition check sees, since no search runs on it
+    ("skew", "covering", lambda f: lambda k: f(k)[len(components(k)) > 1:],
+     "covering_uniqueness", 98, 81,
+     {"diagram": "1:1..2;2:1..2;3:1..2;4:0..1", "decompositions": 1}),
     # the closures lose every first box in an empty row more than one row
     # from the diagram, so two dominoes one empty row apart are not reached
     ("procedures", "_addable_table",
@@ -157,7 +167,8 @@ def test_negative_sizes_refused():
      "equivalence", 98, 1,
      {"diagram": "1:2..4;2:2..2;3:0..2", "covering": True, "plain": False, "barred": False}),
 ], ids=["flip_sets", "arrow_flips", "rim_two_hooks", "vertical_dominoes", "cartan",
-        "covering_uniqueness", "equivalence"])
+        "covering_uniqueness", "covering_uniqueness_search",
+        "covering_uniqueness_disconnected", "equivalence"])
 def test_registry_check_catches_fault(monkeypatch, module, name, broken, check, checked,
                                       violations, first):
     # a fault patched into a function the check looks up must fail it

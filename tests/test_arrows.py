@@ -18,7 +18,6 @@ from peribrauer.arrows import (
 )
 from peribrauer.partitions import conjugate, partitions_of
 from peribrauer.skew import covering, skew_from_pair
-from peribrauer.verify import arrow_flips, flip_sets
 
 partitions = st.lists(st.integers(1, 7), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -157,19 +156,6 @@ def test_adjacent_pair_removes_single_box():
                 fh = rim_hook_of_flip(mu, pair)
                 assert (fh.ht, fh.wd) == (1, 1)
                 assert sum(fh.partition) == sum(mu) - 1
-
-
-def test_flip_matches_geometry():
-    # every wb-pair flip removes one rim hook whose height, width and
-    # anticontent profile match the dot-count predictions, and whose
-    # membership matches the arrow-pair test
-    rep = arrow_flips(9)
-    assert rep.ok and rep.checked > 0, rep.violations[:1]
-
-
-def test_pi_matches_gamma():
-    rep = flip_sets(9)
-    assert rep.ok and rep.checked > 0, rep.violations[:1]
 
 
 def arrows_cross(a: ArrowPair, b: ArrowPair) -> bool:

@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 import sys
-from itertools import combinations, islice
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +20,6 @@ from peribrauer.skew import (
     components,
     conjugate_skew,
     covering,
-    disjoint_or_nested,
     enumerate_skew_diagrams,
     format_skew,
     is_gamma,
@@ -30,7 +29,6 @@ from peribrauer.skew import (
     render,
     skew_from_pair,
 )
-from peribrauer.verify import covering_uniqueness, vertical_dominoes
 
 # the nine connected nonzero members with at most six boxes
 DOMINO = SkewDiagram(((0, 2),))
@@ -110,7 +108,7 @@ def test_from_pair_basics():
     for p in [(), (1,), (3, 1)]:
         assert skew_from_pair(p, p) == EMPTY
     assert skew_from_pair((3, 2, 1), (3, 1)).rows == ((1, 2), (0, 1))  # covered top row
-    assert skew_from_pair((3, 2, 2), (1, 2, 2)).rows == ((0, 2),)  # covered bottom rows
+    assert skew_from_pair((4, 2, 2), (2, 2, 2)).rows == ((0, 2),)  # covered bottom rows
     # a covered middle row is (fill, fill), fill the right end of the row below
     assert skew_from_pair((3, 1, 1), (1, 1)).rows == ((1, 3), (1, 1), (0, 1))
     with pytest.raises(ValueError, match=r"^\[2\] is not contained in \[1,1\]$"):
@@ -123,6 +121,10 @@ def test_from_pair_basics():
     ((1, 3), (), (1, 3)),  # outer rises
     ((2, 2), (0, 1), (0, 1)),  # inner has a zero part and rises
     ((2,), (-1,), (-1,)),  # inner has a negative part
+    ((2, 1, 3), (1, 1, 3), (2, 1, 3)),  # outer rises in a dropped bottom row
+    ((3, 3, 5), (3, 3, 5), (3, 3, 5)),  # outer rises, every row dropped
+    ((2, 0), (1, 0), (2, 0)),  # outer's last part is zero
+    ((3, 2, 2), (1, 2, 2), (1, 2, 2)),  # inner rises into a dropped bottom row
 ])
 def test_from_pair_refuses_non_partitions(outer, inner, bad):
     with pytest.raises(ValueError) as want:
@@ -504,33 +506,6 @@ def test_conjugate_commutes_with_difference(outer, other):
     k = skew_from_pair(outer, inner)
     assert conjugate_skew(k) == skew_from_pair(conjugate(outer), conjugate(inner))
     assert k.size == sum(outer) - sum(inner)
-
-
-def test_covering_is_covering():
-    # partition into hooks, pairwise disjoint or nested, up to size 10;
-    # member hooks always have an even number of boxes
-    for k in enumerate_skew_diagrams(10):
-        cov = covering(k)
-        all_boxes = [b for h in cov for b in h.boxes]
-        assert len(all_boxes) == k.size
-        assert set(all_boxes) == set(k.boxes())
-        for h in cov:
-            if is_gamma0(h):
-                assert len(h.boxes) % 2 == 0
-        for h1, h2 in combinations(cov, 2):
-            assert disjoint_or_nested(h1.boxes, h2.boxes)
-
-
-def test_covering_uniqueness_small():
-    rep = covering_uniqueness(6)
-    assert rep.ok and rep.checked > 0, rep.violations[:1]
-
-
-def test_vertical_domino_lemma_small():
-    # adding a column pair with nothing above or left never keeps both
-    # diagrams members
-    rep = vertical_dominoes(6)
-    assert rep.ok and rep.checked > 0, rep.violations[:1]
 
 
 def test_enumerate_counts_small():
