@@ -16,7 +16,7 @@ width and anticontent profile are dot-counting statistics of the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, product
 from math import prod
 from typing import NamedTuple
@@ -24,19 +24,17 @@ from typing import NamedTuple
 from .partitions import FLIP_LIMIT, Partition, check_partition
 
 
-@dataclass(frozen=True, slots=True)
-class WeightDiagram:
+class WeightDiagram(namedtuple("WeightDiagram", "window_lo window_hi blacks")):
     """Colouring of [window_lo, window_hi]; positions left of the window
-    are black, positions right of it are white."""
+    are black, positions right of it are white.  `blacks` is a frozenset
+    of positions."""
 
-    window_lo: int
-    window_hi: int
-    blacks: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.blacks and (min(self.blacks) < self.window_lo
-                            or max(self.blacks) > self.window_hi):
+    def __new__(cls, window_lo: int, window_hi: int, blacks: frozenset[int]):
+        if blacks and (min(blacks) < window_lo or max(blacks) > window_hi):
             raise ValueError("black positions must lie inside the window")
+        return super().__new__(cls, window_lo, window_hi, blacks)
 
     def is_black(self, pos: int) -> bool:
         if pos < self.window_lo:

@@ -13,12 +13,10 @@ partitions of full size and below grade 4).
 relations of these operators on every basis class in a range.  Within
 one call it computes each basis class's images with `apply_Rq` once and
 applies the operators to vectors by summing those images; the right-hand
-side E R_q is `apply_E`, evaluated on its own.
+side E R_q is `apply_E`, evaluated on its own, once per class and q.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .partitions import (
     Partition,
@@ -82,13 +80,11 @@ def apply_E(v: ClassVector) -> ClassVector:
     return out
 
 
-@dataclass
 class TLReport:
-    r_max: int
-    q_lo: int
-    q_hi: int
-    checks: int = 0
-    violations: list = field(default_factory=list)
+    def __init__(self, r_max: int, q_lo: int, q_hi: int):
+        self.r_max, self.q_lo, self.q_hi = r_max, q_lo, q_hi
+        self.checks = 0
+        self.violations: list = []
 
     @property
     def ok(self) -> bool:
@@ -137,12 +133,10 @@ def verify_tl(r_max: int, q_lo: int, q_hi: int) -> TLReport:
             for q in qs:
                 w = rq[q]
                 record("square", r, lam, q, None, rx(w, q) if w else {}, {})
-                for p in qs:
-                    if p - q > 1:
-                        record("commute", r, lam, q, p, rx(w, p) if w else {},
-                               rx(rq[p], q) if rq[p] else {})
+                for p in range(q + 2, q_hi + 1):
+                    record("commute", r, lam, q, p, rx(w, p) if w else {},
+                           rx(rq[p], q) if rq[p] else {})
+                rhs = apply_E(w)  # the same right-hand side for both signs
                 for s in (1, -1):
-                    lhs = rx(rx(w, q + s), q) if w else {}
-                    rhs = apply_E(w)
-                    record("braid", r, lam, q, q + s, lhs, rhs)
+                    record("braid", r, lam, q, q + s, rx(rx(w, q + s), q) if w else {}, rhs)
     return report

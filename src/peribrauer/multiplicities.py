@@ -13,12 +13,9 @@ to name the first bad entry once they differ.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .partitions import (
     Partition,
@@ -35,8 +32,7 @@ class ConsistencyError(RuntimeError):
     """Two supposedly equivalent computations disagreed."""
 
 
-@dataclass(frozen=True)
-class DecompositionMatrix:
+class DecompositionMatrix(NamedTuple):
     r: int
     row_labels: tuple[Partition, ...]
     col_labels: tuple[Partition, ...]
@@ -164,6 +160,9 @@ def matrix_text(m: DecompositionMatrix) -> str:
 
 
 def matrix_csv(m: DecompositionMatrix) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + [format_partition(p) for p in m.col_labels])
@@ -173,6 +172,8 @@ def matrix_csv(m: DecompositionMatrix) -> str:
 
 
 def matrix_json(m: DecompositionMatrix) -> str:
+    import json
+
     return json.dumps(
         {
             "r": m.r,

@@ -30,7 +30,6 @@ the reachable set is finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .skew import (
@@ -158,14 +157,11 @@ def generate_upsilon(max_size: int, barred: bool,
 # Three-way equivalence harness
 
 
-@dataclass
 class EquivalenceReport:
-    max_size: int
-    span_cap: int
-    diagrams_checked: int = 0
-    member_count: int = 0
-    connected_nonzero_members: int = 0
-    disagreements: list = field(default_factory=list)
+    def __init__(self, max_size: int, span_cap: int):
+        self.max_size, self.span_cap = max_size, span_cap
+        self.diagrams_checked = self.member_count = self.connected_nonzero_members = 0
+        self.disagreements: list = []
 
     @property
     def ok(self) -> bool:

@@ -35,9 +35,9 @@ another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import pairwise
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .partitions import INPUT_LIMIT, Partition, check_partition, contains, format_partition
 
@@ -96,13 +96,13 @@ def _occ_remove(occ: Occ, i: int, j: int) -> Occ:
     return new
 
 
-@dataclass(frozen=True, slots=True)
-class SkewDiagram:
+class SkewDiagram(NamedTuple):
     """Canonical translation class of a skew Young diagram.
 
     rows[k] is the interval of row k+1; the first and last entries are
     nonempty, interior empty rows are normalised to (x, x) with x the
-    right endpoint of the nearest occupied row below.
+    right endpoint of the nearest occupied row below.  A one-field tuple,
+    so its hash is the hash of (rows,).
     """
 
     rows: tuple[tuple[int, int], ...]
@@ -324,18 +324,19 @@ def _removable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, 
 # Hooks and coverings
 
 
-@dataclass(frozen=True, slots=True)
-class Hook:
+class Hook(namedtuple("Hook", "boxes")):
     """A ribbon fixed in space (absolute box coordinates): ordered by
     content, each box lies right of or above the one before, so it is a
-    connected skew diagram with pairwise distinct contents."""
+    connected skew diagram with pairwise distinct contents.  `boxes` is a
+    frozenset of (row, column)."""
 
-    boxes: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        walk = sorted(self.boxes, key=lambda b: b[1] - b[0])
+    def __new__(cls, boxes: frozenset[tuple[int, int]]):
+        walk = sorted(boxes, key=lambda b: b[1] - b[0])
         if not walk or any(b not in ((i, j + 1), (i - 1, j)) for (i, j), b in pairwise(walk)):
-            raise ValueError(f"not a ribbon: {sorted(self.boxes)}")
+            raise ValueError(f"not a ribbon: {sorted(boxes)}")
+        return super().__new__(cls, boxes)
 
     @property
     def ht(self) -> int:

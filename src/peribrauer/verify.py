@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
@@ -20,14 +19,13 @@ from .partitions import format_partition
 from .skew import SkewDiagram, format_skew
 
 
-@dataclass
 class CheckResult:
-    name: str
-    params: dict
-    checked: int = 0
-    violations: list = field(default_factory=list)
-    seconds: float = 0.0
-    counts: dict = field(default_factory=dict)  # further tallies of what was checked
+    def __init__(self, name: str, params: dict, checked: int = 0,
+                 violations: list | None = None, seconds: float = 0.0,
+                 counts: dict | None = None):
+        self.name, self.params, self.checked, self.seconds = name, params, checked, seconds
+        self.violations = [] if violations is None else violations
+        self.counts = {} if counts is None else counts  # further tallies of what was checked
 
     @property
     def ok(self) -> bool:

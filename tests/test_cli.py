@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,15 @@ def test_diagram_given_twice_is_usage_error(capsys, command):
     assert code == 2
     assert "not both" in err and "'1:0..2'" in err and "'[3,3]/[1]'" in err
     assert out == ""
+
+
+def test_import_loads_no_heavy_stdlib():
+    # a command runs as one short process, so what the import loads is
+    # start-up time: `dataclasses` pulls in `inspect`, `ast`, `dis` and
+    # `tokenize`, and `csv` is needed by `--format csv` alone
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, peribrauer.cli; "
+         "print(*sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
