@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import arrows, multiplicities, procedures, skew, verify
@@ -128,6 +127,8 @@ def cmd_verify_all(args) -> int:
     results = [check(args.max_size, args.r_max) for check in verify.REGISTRY.values()]
     ok = all(res.ok for res in results)
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "ok": ok,
             "seconds": round(sum(res.seconds for res in results), 3),

@@ -6,9 +6,10 @@ depend on the algebra grade r beyond validating the labels.  Cartan
 entries are computed twice, through the reciprocity sum and through an
 explicit witness search, and the two must agree entrywise with every
 entry 0 or 1 -- any discrepancy means the implementation is wrong, so it
-raises instead of warning.  `cartan_matrix` compares the two forms
-sparsely, on their nonzero entries only, and scans the whole matrix just
-to name the first bad entry once they differ.
+raises instead of warning.  `cartan_matrix` builds both forms from the
+up-sets it reads itself, one cell label at a time, not from `cell_matrix`;
+it compares them sparsely, on their nonzero entries only, and scans the
+whole matrix just to name the first bad entry once they differ.
 """
 
 from __future__ import annotations
@@ -104,28 +105,27 @@ def cartan_mult_witness(r: int, nu: Partition, mu: Partition) -> int:
 
 
 def cartan_matrix(r: int) -> DecompositionMatrix:
-    """Cartan multiplicities over the simple labels, assembled from the
-    cell matrix through the up-set of each cell label lam (the mu with
-    cell(lam, mu) = 1).  The sum form adds cell(lam, mu) * cell(lam', nu')
-    over lam; the witness form marks (nu, mu) when lam also sits inside nu
-    with the transpose of nu/lam a member.  The two must agree entrywise
+    """Cartan multiplicities over the simple labels, assembled from two
+    label lists per cell label lam, read off the pairs (nu, nu/lam) for
+    the nu that contain lam, one lam at a time: its up-set (nu/lam a
+    member, so cell(lam, nu) = 1) and its witnesses (the transpose of
+    nu/lam a member).  The sum form adds cell(lam, mu) * cell(lam', nu')
+    over lam through the up-set of lam'; the witness form marks (nu, mu)
+    for a witness nu and mu in the up-set.  The two must agree entrywise
     with every entry 0 or 1: every sum is 1 and the summed pairs are the
     witnessed ones.  Only when that fails does a scan over all label pairs
     run, to raise on the first bad entry in label order."""
-    cell = cell_matrix(r)
-    labels = cell.col_labels
-    ups = {
-        lam: [mu for mu, e in zip(labels, row) if e]
-        for lam, row in zip(cell.row_labels, cell.entries)
-    }
+    labels = labels_Lambda(r)
+    ups, wits = {}, {}
+    for lam in labels_L(r):
+        pairs = [(nu, skew_from_pair(nu, lam)) for nu in labels if contains(lam, nu)]
+        ups[lam] = [nu for nu, d in pairs if is_gamma(d)]
+        wits[lam] = [nu for nu, d in pairs if is_gamma(conjugate_skew(d))]
     total, witness = Counter(), set()
     for lam, up in ups.items():
         up_conj = {conjugate(x) for x in ups[conjugate(lam)]}
-        for nu in labels:
-            if nu in up_conj:
-                total.update((nu, mu) for mu in up)
-            if contains(lam, nu) and is_gamma(conjugate_skew(skew_from_pair(nu, lam))):
-                witness.update((nu, mu) for mu in up)
+        total.update((nu, mu) for nu in labels if nu in up_conj for mu in up)
+        witness.update((nu, mu) for nu in wits[lam] for mu in up)
     if total.keys() != witness or any(s != 1 for s in total.values()):
         for nu in labels:
             for mu in labels:

@@ -17,20 +17,11 @@ each hook off the row intervals and stops at the first failure.
 `conjugate_skew` through `check_skew`, criterion 6).  The addable/removable
 primitives behind the operators require skew row intervals instead, as
 every `SkewDiagram.occ()` and each of their own results is, and decide a
-box from its neighbour rows alone.
-A removal rests on one fact: a skew set is convex in the product order
-((i, j) <= (i', j') when i <= i' and j <= j').  A box with nothing right
-of or below it (left of or above it) is then maximal (minimal), and
-removing it leaves a convex set, so a removal needs only that side test.
-The addable boxes have a closed form, row by row, in the nearest occupied
-rows a above and b below row i (`_addable_table` reads every content's
-off one sweep): an occupied row (l, r] can only grow at its right end
-r + 1 for d (kept if r_a > r, or l_a > r across empty rows) and at its
-left end l for u (kept if l_b < l, or r_b < l across empty rows), and an
-empty row takes the d-columns r_b + 1..l_a + [a = i - 1] and the
-u-columns r_b + [b != i + 1]..l_a.  The empty diagram places its first
-box at (1, 1 + content): all its placements are translates of one
-another.
+box from its neighbour rows alone; the closed forms are in the docstrings
+of `_removable_positions` (a side test, by convexity in the product order)
+and `_addable_table` (the nearest occupied rows above and below, in one
+sweep).  `skew_from_pair` reads a partition pair in one pass over its rows
+and validates the two partitions only when that pass finds a fault.
 """
 
 from __future__ import annotations
@@ -39,7 +30,7 @@ from collections import namedtuple
 from itertools import pairwise
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .partitions import INPUT_LIMIT, Partition, check_partition, contains, format_partition
+from .partitions import INPUT_LIMIT, Partition, check_partition, format_partition
 
 # Working form used by the algorithms: {row: (l, r)} with l < r, mapping
 # each occupied row (any integer) to its column interval (l, r] = l+1..r.
@@ -166,49 +157,46 @@ EMPTY = SkewDiagram(())
 
 def skew_from_pair(outer: Partition, inner: Partition) -> SkewDiagram:
     """The canonical skew diagram of outer minus inner, read straight off
-    the two tuples: row i is (lefts[i], outer[i]] with `inner` padded by
-    zeros into `lefts`.  The fully covered rows at the top and bottom are
-    dropped, and the columns shift by lefts[hi], the left end of the last
-    occupied row: left ends fall weakly down a partition, so it is the
-    least.  An interior empty row becomes (fill, fill), fill the right end
-    of the nearest occupied row below.
+    the two tuples in one pass from the bottom row up: row i is
+    (inner[i], outer[i]], or (0, outer[i]] below the rows of `inner`.  The
+    columns shift by the left end of the last occupied row (left ends fall
+    weakly down a partition, so it is the least), an empty row above it
+    becomes (fill, fill) with fill the right end of the row below, and the
+    fully covered rows at the bottom and top are dropped.
 
-    A pair's last parts are positive and no row end rises above the row
-    below.  A dropped row has lefts == outer, so the trim loops test one
-    end of it, the row loop tests the rest, and `check_partition` refuses."""
-    if not contains(inner, outer):
-        raise ValueError(
-            f"{format_partition(inner)} is not contained in {format_partition(outer)}"
-        )
-    lefts = tuple(inner) + (0,) * (len(outer) - len(inner))
-    lo, hi, bad = 0, len(outer) - 1, False
-    while lo <= hi and lefts[lo] == outer[lo]:
-        bad = bad or lo < hi and outer[lo] < outer[lo + 1]
-        lo += 1
-    while lo < hi and lefts[hi] == outer[hi]:
-        bad = bad or lefts[hi - 1] < outer[hi]
-        hi -= 1
-    if bad or outer and outer[-1] < 1 or inner and inner[-1] < 1:
-        check_partition(outer)
-        check_partition(inner)
-    if lo > hi:
-        return EMPTY
-    shift = lefts[hi]
-    out = []
-    l2 = r2 = 0  # the row below row i
-    for i in range(hi, lo - 1, -1):
-        l, r = lefts[i], outer[i]
-        if l < l2 or r < r2:
-            check_partition(outer)
-            check_partition(inner)
-        if l < r:
-            fill = r - shift
-            out.append((l - shift, fill))
+    A part of `inner` larger than outer[i] in its row, or an `inner`
+    longer than `outer`, is the containment refusal, raised before any
+    other.  A rising row end, a last part below 1 or a non-integer part
+    sends both tuples to `check_partition`, which refuses: the pass keeps
+    going after one, so a containment failure higher up still wins."""
+    m = len(inner)
+    if m <= len(outer):
+        bad = outer and outer[-1] < 1 or inner and inner[-1] < 1
+        out, top = [], 0  # top: the rows of `out` up to the highest occupied one
+        l2 = r2 = 0  # the row below
+        for i in range(len(outer) - 1, -1, -1):
+            l, r = inner[i] if i < m else 0, outer[i]
+            if l > r and i < m:  # a padding 0 over a part below 0 is only `bad`
+                break
+            if l < l2 or r < r2 or type(l) is not int or type(r) is not int:
+                bad = True
+            if l < r:
+                if not out:
+                    shift = l
+                out.append((l - shift, r - shift))
+                top = len(out)
+            elif out:
+                fill = out[-1][1]
+                out.append((fill, fill))
+            l2, r2 = l, r
         else:
-            out.append((fill, fill))
-        l2, r2 = l, r
-    out.reverse()
-    return SkewDiagram(tuple(out))
+            if bad:
+                check_partition(outer)
+                check_partition(inner)
+            del out[top:]
+            out.reverse()
+            return SkewDiagram(tuple(out))
+    raise ValueError(f"{format_partition(inner)} is not contained in {format_partition(outer)}")
 
 
 def _pieces(rows: Sequence[tuple[int, int]]) -> list[list[int]]:

@@ -249,10 +249,11 @@ def test_diagram_given_twice_is_usage_error(capsys, command):
 def test_import_loads_no_heavy_stdlib():
     # a command runs as one short process, so what the import loads is
     # start-up time: `dataclasses` pulls in `inspect`, `ast`, `dis` and
-    # `tokenize`, and `csv` is needed by `--format csv` alone
+    # `tokenize`, `csv` is needed by `--format csv` alone and `json` by
+    # `--format json` alone
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", "import sys, peribrauer.cli; "
-         "print(*sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"],
+         "print(*sorted({'dataclasses', 'inspect', 'csv', 'json'} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []

@@ -115,6 +115,11 @@ def test_from_pair_basics():
         skew_from_pair((1, 1), (2,))
     with pytest.raises(ValueError, match=r"^\[1,1,1\] is not contained in \[3\]$"):
         skew_from_pair((3,), (1, 1, 1))
+    # containment is refused before validity, and against the empty outer
+    with pytest.raises(ValueError, match=r"^\[1,3\] is not contained in \[3,2\]$"):
+        skew_from_pair((3, 2), (1, 3))
+    with pytest.raises(ValueError, match=r"^\[1\] is not contained in \[\]$"):
+        skew_from_pair((), (1,))
 
 
 @pytest.mark.parametrize("outer,inner,bad", [
@@ -125,6 +130,8 @@ def test_from_pair_basics():
     ((3, 3, 5), (3, 3, 5), (3, 3, 5)),  # outer rises, every row dropped
     ((2, 0), (1, 0), (2, 0)),  # outer's last part is zero
     ((3, 2, 2), (1, 2, 2), (1, 2, 2)),  # inner rises into a dropped bottom row
+    ((2.5, 1), (), (2.5, 1)),  # outer has a non-integer part
+    ((3, 1), (1.5,), (1.5,)),  # inner has a non-integer part
 ])
 def test_from_pair_refuses_non_partitions(outer, inner, bad):
     with pytest.raises(ValueError) as want:

@@ -67,3 +67,21 @@ def test_one_raise_site_per_message():
     repeated = [f"{template!r} at {', '.join(where)}"
                 for template, where in sorted(sites.items()) if len(where) > 1]
     assert not repeated, "\n".join(repeated)
+
+
+def test_no_unused_import_in_src():
+    # every name a module-level import binds is used in that module;
+    # `__init__.py` re-exports its imports, and `from __future__` binds none
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{node.lineno}:{name}" for alias in node.names
+                           if (name := (alias.asname or alias.name).split(".")[0]) not in loaded]
+    assert not unused, unused
