@@ -34,7 +34,7 @@ ClassVector = dict
 
 def check_vector(v: ClassVector) -> ClassVector:
     for (r, lam), coeff in v.items():
-        if lam not in set(labels_L(r)):
+        if lam not in labels_L(r):
             raise ValueError(f"({r}, {format_partition(lam)}) is not a valid key")
         if coeff == 0:
             raise ValueError("zero coefficients must not be stored")

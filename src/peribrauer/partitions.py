@@ -28,7 +28,7 @@ FLIP_LIMIT = 4096
 def check_partition(parts) -> Partition:
     """Validate and normalise an iterable of parts into a partition tuple."""
     p = tuple(parts)
-    if any(not isinstance(x, int) or x < 1 for x in p):
+    if any(type(x) is not int or x < 1 for x in p):
         raise ValueError(f"parts must be positive integers: {p!r}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValueError(f"parts must be weakly decreasing: {p!r}")

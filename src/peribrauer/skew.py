@@ -10,8 +10,11 @@ as translation classes.
 The membership test `is_gamma` peels the covering by rim hooks (the
 rightmost box of each content off every connected component, recursively)
 and checks each hook for two conditions: width = height + 1, and no box
-strictly above the diagonal through the box of minimal content.  It reads
-each hook off the row intervals and stops at the first failure.
+strictly above the diagonal through the box of minimal content.  Each
+peel pass is one sweep over the row intervals that tests a hook as soon
+as its bottom row is read, and the first failing hook returns before the
+rest of the pass is read.  It builds no hooks and does not call
+`covering`, so the two stay independent.
 
 `occ_violation` validates row intervals from outside (`parse_skew` and
 `conjugate_skew` through `check_skew`, criterion 6).  The addable/removable
@@ -344,7 +347,8 @@ Covering = tuple
 
 def _peel(rows: Sequence[tuple[int, int]]) -> Iterator[tuple[list, list[list[int]], list[int]]]:
     """The passes of the covering: the rows, their pieces and the cuts; a
-    piece's rim hook is columns cuts[i] + 1..r_i of each of its rows i."""
+    piece's rim hook is columns cuts[i] + 1..r_i of each of its rows i.
+    `is_gamma` writes the same cut rule again in its own sweep."""
     rows = list(rows)
     while pieces := _pieces(rows):
         # the rightmost box of a content has no box below and to its right;
@@ -414,17 +418,43 @@ def is_gamma0(h: Hook) -> bool:
 
 
 def is_gamma(k: SkewDiagram) -> bool:
-    """True iff every hook of the covering of k passes `is_gamma0`; the
-    empty diagram is a member.  The peel's hooks are read off their rows
-    (height len(piece), width r_top - cut_bottom, the minimal box first in
-    the bottom row), and the first failing one ends it."""
-    for rows, pieces, cuts in _peel(k.rows):
-        for piece in pieces:
-            a = piece[-1] + cuts[piece[-1]]
-            if rows[piece[0]][1] - cuts[piece[-1]] != len(piece) + 1 or any(
-                    i + cuts[i] < a for i in piece):
-                return False
-    return True
+    """True iff every rim hook of the covering of k has width = height + 1
+    and no box above the diagonal through its minimal box; the empty
+    diagram is a member.
+
+    It peels the covering as `_peel` does, with the same cut rule written
+    out again, but in one sweep over the rows per pass and without the
+    hooks: row i keeps columns l_i + 1..cut_i for the next pass, and a
+    piece closes at row i when row i + 1 is empty or l_i >= r_{i+1}.  The
+    closed piece's hook has height bottom - top + 1, width
+    r_top - cut_bottom and its minimal box first in the bottom row, so it
+    passes when the width is one more than the height and no row has
+    i + cut_i below bottom + cut_bottom.  The first failing hook returns
+    at once, before the rest of the pass is read.
+    """
+    rows = k.rows
+    last = len(rows) - 1
+    while True:
+        nxt = []
+        top = -1  # the open piece's top row, -1 while none is open
+        done = True  # no occupied row in this pass
+        for i, (l, r) in enumerate(rows):
+            l2, r2 = rows[i + 1] if i < last else (l, l)
+            cut = r2 - 1 if r2 > l else l
+            nxt.append((l, cut))
+            if l < r:
+                if top < 0:
+                    top, r_top, low = i, r, i + cut
+                    done = False
+                elif i + cut < low:
+                    low = i + cut
+                if not (l < r2 and l2 < r2):  # row i + 1 does not join
+                    if r_top - cut != i - top + 2 or low < i + cut:
+                        return False
+                    top = -1
+        if done:
+            return True
+        rows = nxt
 
 
 def conjugate_skew(k: SkewDiagram) -> SkewDiagram:

@@ -55,6 +55,10 @@ def test_check_partition_rejects():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, 0))
+    # a bool is an int subclass, but not a part
+    for bad in ((True,), (2, True)):
+        with pytest.raises(ValueError, match="^parts must be positive integers"):
+            check_partition(bad)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
+from peribrauer import skew
 from peribrauer.partitions import check_partition, partitions_of, subpartitions
 from peribrauer.skew import (
     EMPTY,
@@ -132,6 +133,7 @@ def test_from_pair_basics():
     ((3, 2, 2), (1, 2, 2), (1, 2, 2)),  # inner rises into a dropped bottom row
     ((2.5, 1), (), (2.5, 1)),  # outer has a non-integer part
     ((3, 1), (1.5,), (1.5,)),  # inner has a non-integer part
+    ((True,), (), (True,)),  # outer has a bool part
 ])
 def test_from_pair_refuses_non_partitions(outer, inner, bad):
     with pytest.raises(ValueError) as want:
@@ -442,6 +444,31 @@ def test_gamma_matches_hook_form():
             cov = covering(d)
             assert is_gamma(d) == all(is_gamma0(h) for h in cov), d
             assert [sorted(h.boxes) for h in cov] == sorted(sorted(h.boxes) for h in cov), d
+
+
+def test_gamma_matches_hook_form_on_pairs():
+    # the same agreement on every pair diagram nu/lam with |nu| <= 10 and
+    # its conjugate: these have fully covered bottom rows dropped and empty
+    # interior rows between their pieces
+    pairs = 0
+    for n in range(11):
+        for nu in partitions_of(n):
+            for lam in subpartitions(nu):
+                k = skew_from_pair(nu, lam)
+                for d in (k, conjugate_skew(k)):
+                    assert is_gamma(d) == all(is_gamma0(h) for h in covering(d)), (nu, lam, d)
+                pairs += 1
+    assert pairs == 2888
+
+
+def test_gamma_reads_no_covering(monkeypatch):
+    # membership is its own oracle: it peels without the covering's helpers
+    def refuse(*args):
+        raise AssertionError("is_gamma must not call the covering")
+
+    for name in ("_peel", "_pieces", "covering"):
+        monkeypatch.setattr(skew, name, refuse)
+    assert sum(map(is_gamma, enumerate_skew_diagrams(8))) == 172
 
 
 def test_conjugate_skew():
