@@ -125,7 +125,9 @@ def generate_upsilon(max_size: int, barred: bool,
     Each diagram's first boxes come from one table per operator
     (`skew._addable_table`): the d-addable q-boxes of P over the content
     range, and the u-addable (q-1)-boxes of E over the extension range.
-    Only the contents with a first box are visited.
+    Only the contents with a first box are visited, and for P only those
+    of a left end l_i + 1 - i: the u-removable q-box a push takes away is
+    a row's left end, which its d-addable box never moves.
     """
     span_cap = check_universe(max_size, span_cap)
     seen = {EMPTY}
@@ -138,8 +140,10 @@ def generate_upsilon(max_size: int, barred: bool,
         lo, hi = k.content_range() if occ else (1, 0)
         e_lo, e_hi = (hi - span_cap, lo + span_cap - 1) if occ else (-1, -1)
         produced: set[SkewDiagram] = set()
+        lefts = {l + 1 - i for i, (l, _) in occ.items()}  # contents a push can move
         for c, firsts in _addable_table(occ, lo, hi, down=True).items():
-            produced |= _outcomes(_op_p_raw(occ, c, firsts), c + 1 if barred else None)
+            if c in lefts:
+                produced |= _outcomes(_op_p_raw(occ, c, firsts), c + 1 if barred else None)
         if k.size + 2 <= max_size:
             for c, firsts in _addable_table(occ, e_lo, e_hi, down=False).items():
                 produced |= _outcomes(_op_e_raw(occ, c + 1, firsts), c if barred else None)

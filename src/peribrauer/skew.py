@@ -22,9 +22,10 @@ primitives behind the operators require skew row intervals instead, as
 every `SkewDiagram.occ()` and each of their own results is, and decide a
 box from its neighbour rows alone; the closed forms are in the docstrings
 of `_removable_positions` (a side test, by convexity in the product order)
-and `_addable_table` (the nearest occupied rows above and below, in one
-sweep).  `skew_from_pair` reads a partition pair in one pass over its rows
-and validates the two partitions only when that pass finds a fault.
+and `_addable_table` (the nearest occupied rows above and below, region
+by region), as does `SkewDiagram.from_occ`.  `skew_from_pair` reads a
+partition pair in one pass over its rows and validates the two
+partitions only when that pass finds a fault.
 """
 
 from __future__ import annotations
@@ -103,20 +104,24 @@ class SkewDiagram(NamedTuple):
 
     @staticmethod
     def from_occ(occ: Occ) -> "SkewDiagram":
-        occupied = {i: itv for i, itv in occ.items() if itv[0] < itv[1]}
-        if not occupied:
+        """The canonical diagram of skew row intervals, all occupied, in
+        any frame and key order.  Left ends fall down a skew shape, so the
+        columns shift by the bottom row's; one pass up writes each empty
+        row as (fill, fill), fill the right end of the row below it."""
+        if not occ:
             return EMPTY
-        lo, hi = min(occupied), max(occupied)
-        shift = min(l for l, _ in occupied.values())
-        out = [None] * (hi - lo + 1)
-        fill = None
-        for i in range(hi, lo - 1, -1):
-            if i in occupied:
-                l, r = occupied[i]
-                fill = r - shift
-                out[i - lo] = (l - shift, fill)
-            else:
-                out[i - lo] = (fill, fill)
+        keys = sorted(occ, reverse=True)
+        shift = occ[keys[0]][0]
+        out = []
+        below = keys[0] + 1
+        for i in keys:
+            if i + 1 < below:
+                out += [(fill, fill)] * (below - i - 1)
+            l, r = occ[i]
+            fill = r - shift
+            out.append((l - shift, fill))
+            below = i
+        out.reverse()
         return SkewDiagram(tuple(out))
 
     def occ(self) -> Occ:
@@ -240,51 +245,56 @@ def _addable_table(occ: Occ, lo: int, hi: int, down: bool) -> dict[int, list[tup
     (down=True: nothing right of or below) or u-addable ones, by content,
     each list in row order; contents without one are left out.
 
-    One sweep over the rows reads them off a closed form, with a the
-    nearest occupied row above row i and b the nearest below (either may
-    be missing, which leaves that end unbounded):
+    A closed form in a, the nearest occupied row above row i, and b, the
+    nearest below (either may be missing, leaving that end unbounded):
 
     - an occupied row (l, r] has one d-candidate, its right end r + 1,
       kept if r_a > r (a = i - 1) or l_a > r (a < i - 1); and one
       u-candidate, its left end l, kept if l_b < l (b = i + 1) or r_b < l
       (b > i + 1);
     - an empty row takes the d-columns r_b + 1..l_a + [a = i - 1] and the
-      u-columns r_b + [b != i + 1]..l_a: the gap rows, and the detached
-      placements above and below the diagram.
+      u-columns r_b + [b != i + 1]..l_a.
+
+    It is read region by region from the top down, each occupied row b
+    after the empty rows above it (up to a, or every row above the top),
+    the rows below the bottom last, each empty region only as far as its
+    columns reach contents lo..hi.
 
     Every box of the empty diagram is both d- and u-addable, and its one
     placement is (1, 1 + content).
     """
     if not occ:
         return {c: [(1, 1 + c)] for c in range(lo, hi + 1)}
-    keys = sorted(occ)
-    top, bottom, n = keys[0], keys[-1], len(keys)
-    k = 0  # keys[k] is the nearest occupied row at or below row i
-    a = None  # the nearest occupied row above row i
     table: dict[int, list[tuple[int, int]]] = {}
-    # a row above the top holds contents >= r_top - i at best, and a row
-    # below the bottom contents <= l_bottom + 1 - i
-    for i in range(min(top, occ[top][1] - hi), max(bottom, occ[bottom][0] + 1 - lo) + 1):
-        if k < n and keys[k] < i:
-            a = keys[k]
-            k += 1
-        b = keys[k] if k < n else None
-        if b == i:
-            l, r = occ[i]
-            if down:
-                j = r + 1
-                keep = a is None or (occ[a][1] if a == i - 1 else occ[a][0]) > r
-            else:
-                j = l
-                b = keys[k + 1] if k + 1 < n else None
-                keep = b is None or (occ[b][0] if b == i + 1 else occ[b][1]) < l
-            if keep and lo <= j - i <= hi:
-                table.setdefault(j - i, []).append((i, j))
-            continue
-        j_lo = i + lo if b is None else max(i + lo, occ[b][1] + (down or b != i + 1))
-        j_hi = i + hi if a is None else min(i + hi, occ[a][0] + (down and a == i - 1))
-        for j in range(j_lo, j_hi + 1):
-            table.setdefault(j - i, []).append((i, j))
+    a = None  # the occupied row above, None above the top
+    for b in sorted(occ):
+        l_b, r_b = occ[b]
+        # the empty rows g after a where some column j in r_b..l_a + 1
+        # has a content j - g in lo..hi
+        g = r_b - hi if a is None or r_b - hi > a else a + 1
+        end = b if a is None or l_a + 2 - lo > b else l_a + 2 - lo
+        while g < end:  # most regions are empty, and a range costs its object
+            j_lo = r_b + 1 - (not down and g == b - 1)
+            if g + lo > j_lo:
+                j_lo = g + lo
+            j_hi = g + hi
+            if a is not None and l_a + (down and g == a + 1) < j_hi:
+                j_hi = l_a + (down and g == a + 1)
+            for j in range(j_lo, j_hi + 1):
+                table.setdefault(j - g, []).append((g, j))
+            g += 1
+        # the u-candidate of a and the d-candidate of b, now both rows are known
+        if not down and a is not None and (l_b if b == a + 1 else r_b) < l_a and lo <= l_a - a <= hi:
+            table.setdefault(l_a - a, []).append((a, l_a))
+        if down and (a is None or (r_a if b == a + 1 else l_a) > r_b) and lo <= r_b + 1 - b <= hi:
+            table.setdefault(r_b + 1 - b, []).append((b, r_b + 1))
+        a, l_a, r_a = b, l_b, r_b
+    if not down and lo <= l_a - a <= hi:
+        table.setdefault(l_a - a, []).append((a, l_a))
+    for g in range(a + 1, l_a + 2 - lo):  # below the bottom, a column j <= l_a + 1
+        j_hi = g + hi if g + hi <= l_a else l_a + (down and g == a + 1)
+        for j in range(g + lo, j_hi + 1):
+            table.setdefault(j - g, []).append((g, j))
     return table
 
 
@@ -552,13 +562,13 @@ def hook_decompositions(k: SkewDiagram) -> list[frozenset]:
 def check_universe(max_size: int, span_cap: Optional[int] = None) -> int:
     """The span cap of the universe of diagrams with at most `max_size`
     boxes and content span at most `span_cap`, max_size + 1 by default;
-    raise ValueError if either bound is negative."""
-    if max_size < 0:
-        raise ValueError(f"max_size must be >= 0, got {max_size}")
-    if span_cap is None:
-        span_cap = max_size + 1
-    if span_cap < 0:
-        raise ValueError(f"span_cap must be >= 0, got {span_cap}")
+    raise ValueError if either is not an int (nor a bool) or is negative."""
+    for name, bound in (("max_size", max_size), ("span_cap", span_cap)):
+        if bound is None and name == "span_cap":
+            return max_size + 1
+        if type(bound) is not int or bound < 0:
+            need = ">= 0" if type(bound) is int else "an int"
+            raise ValueError(f"{name} must be {need}, got {bound!r}")
     return span_cap
 
 

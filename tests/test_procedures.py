@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from peribrauer.procedures import (
@@ -126,9 +128,14 @@ def test_generate_trivial():
 @pytest.mark.parametrize("max_size,span_cap,message", [
     (-1, None, "max_size must be >= 0, got -1"),
     (4, -2, "span_cap must be >= 0, got -2"),
+    # a bound of another type is refused, not rounded or taken as 1
+    (2.5, None, "max_size must be an int, got 2.5"),
+    (True, None, "max_size must be an int, got True"),
+    (4, 2.5, "span_cap must be an int, got 2.5"),
+    (4, False, "span_cap must be an int, got False"),
 ])
 def test_negative_universe_bounds_refused(build, max_size, span_cap, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(max_size, span_cap)
 
 

@@ -14,6 +14,7 @@ from peribrauer.skew import (
     Hook,
     SkewDiagram,
     _addable_positions,
+    _addable_table,
     _occ_add,
     _occ_remove,
     _removable_positions,
@@ -54,7 +55,11 @@ def realization(k: SkewDiagram):
 def from_boxes(boxes) -> SkewDiagram:
     """The canonical diagram of a finite box set, read from outside: each
     row must be contiguous, and the rows must pass `check_skew`, which
-    names the reason and rows of a refusal."""
+    names the reason and rows of a refusal.  It canonicalises without
+    `SkewDiagram.from_occ`, row by row from the last row up, so it is that
+    function's reference: columns shift by the least left end, and an
+    empty row is (x, x), x the right end of the nearest occupied row
+    below."""
     rows: dict[int, list[int]] = {}
     for i, j in boxes:
         rows.setdefault(i, []).append(j)
@@ -65,7 +70,22 @@ def from_boxes(boxes) -> SkewDiagram:
             raise ValueError(f"row {i} is not contiguous: {sorted(cols)}")
         occ[i] = (lo - 1, hi)
     check_skew(occ, ";".join(f"{i}:{l}..{r}" for i, (l, r) in sorted(occ.items())))
-    return SkewDiagram.from_occ(occ)
+    if not occ:
+        return EMPTY
+    shift = min(l for l, _ in occ.values())
+    out = []
+    for i in range(max(occ), min(occ) - 1, -1):
+        if i in occ:
+            l, r = occ[i]
+            fill = r - shift
+            out.append((l - shift, fill))
+        else:
+            out.append((fill, fill))
+    return SkewDiagram(tuple(reversed(out)))
+
+
+def _box_set(occ):
+    return {(i, j) for i, (l, r) in occ.items() for j in range(l + 1, r + 1)}
 
 
 def test_from_boxes_names_the_reason():
@@ -283,8 +303,8 @@ def _position_grid():
     """Every diagram with at most n = 5 boxes and each of its one-box
     u-extensions within one content of its range (the intermediates of
     an extension, not canonical: a row off the frame, keys out of
-    order), at every content within the span cap n + 1 of the diagram:
-    (row intervals, content) pairs."""
+    order), with the contents within the span cap n + 1 of the diagram:
+    (row intervals, contents) pairs."""
     n = 5
     cap = n + 1
     for k in enumerate_skew_diagrams(n):
@@ -298,35 +318,58 @@ def _position_grid():
             for i, j in _addable_positions(occ, c, down=False)
         ]
         for o in inputs:
-            for c in range(lo - cap - 2, hi + cap + 3):
-                yield o, c
+            yield o, range(lo - cap - 2, hi + cap + 3)
 
 
 def test_positions_match_reference():
-    for o, c in _position_grid():
+    # each content's addable and removable boxes, and the addable table of
+    # windows of one content, of three, and of the whole grid, which holds
+    # the boxes of each content in it that has any
+    for o, contents in _position_grid():
         for down in (True, False):
-            assert _addable_positions(o, c, down) == _reference_positions(
-                o, c, down, add=True), (o, c, down)
-            assert _removable_positions(o, c, down) == _reference_positions(
-                o, c, down, add=False), (o, c, down)
+            added = {}
+            for c in contents:
+                added[c] = _reference_positions(o, c, down, add=True)
+                assert _addable_positions(o, c, down) == added[c], (o, c, down)
+                assert _removable_positions(o, c, down) == _reference_positions(
+                    o, c, down, add=False), (o, c, down)
+            windows = [(c, c + w) for w in (0, 2) for c in contents[:len(contents) - w]]
+            for lo, hi in windows + [(contents[0], contents[-1])]:
+                want = {c: added[c] for c in range(lo, hi + 1) if added[c]}
+                assert _addable_table(o, lo, hi, down) == want, (o, lo, hi, down)
+
+
+def test_from_occ_matches_from_boxes():
+    # the operators' intermediates: the u-extensions of the grid, with a
+    # row off the frame or keys out of order, and their d-extensions within
+    # one content of their range, gap rows among them
+    kinds = {"off the frame": 0, "out of order": 0, "gap rows": 0}
+    for o, _ in _position_grid():
+        lo = min(l + 1 - i for i, (l, _) in o.items())
+        hi = max(r - i for i, (_, r) in o.items())
+        firsts = _addable_table(o, lo - 1, hi + 1, down=True).values()
+        for occ in [o] + [_occ_add(o, *b) for boxes in firsts for b in boxes]:
+            assert SkewDiagram.from_occ(occ) == from_boxes(_box_set(occ)), occ
+            kinds["off the frame"] += min(occ) < 1 or min(l for l, _ in occ.values()) < 0
+            kinds["out of order"] += list(occ) != sorted(occ)
+            kinds["gap rows"] += max(occ) - min(occ) + 1 > len(occ)
+    assert all(kinds.values()), kinds
 
 
 def test_occ_remove_matches_box_removal():
     # every removable box on the grid of test_positions_match_reference,
     # one-box rows among them, which no push reaches: the row intervals
     # left are those of the box set without it
-    def box_set(o):
-        return {(i, j) for i, (l, r) in o.items() for j in range(l + 1, r + 1)}
-
     emptied = 0
-    for o, c in _position_grid():
-        for down in (True, False):
-            for b in _removable_positions(o, c, down):
-                rest = _occ_remove(o, *b)
-                assert all(l < r for l, r in rest.values()), (o, b)
-                assert box_set(rest) == box_set(o) - {b}, (o, b)
-                assert SkewDiagram.from_occ(rest) == from_boxes(box_set(rest))
-                emptied += b[0] not in rest
+    for o, contents in _position_grid():
+        for c in contents:
+            for down in (True, False):
+                for b in _removable_positions(o, c, down):
+                    rest = _occ_remove(o, *b)
+                    assert all(l < r for l, r in rest.values()), (o, b)
+                    assert _box_set(rest) == _box_set(o) - {b}, (o, b)
+                    assert SkewDiagram.from_occ(rest) == from_boxes(_box_set(rest))
+                    emptied += b[0] not in rest
     assert emptied > 0
 
 

@@ -85,3 +85,59 @@ def test_no_unused_import_in_src():
                 unused += [f"{path.name}:{node.lineno}:{name}" for alias in node.names
                            if (name := (alias.asname or alias.name).split(".")[0]) not in loaded]
     assert not unused, unused
+
+
+def _call_graph() -> dict[str, set[str]]:
+    """Every function, class and method of src by name, with the names of
+    those its body refers to.  Two definitions of one name (a method and
+    a function, say) share a node, and a local variable named like a
+    definition counts as a reference: both can only add reaches."""
+    defs: dict[str, list] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        defs.setdefault(sub.name, []).append(sub)
+    return {name: {ref for node in nodes for ref in _references(node) if ref in defs}
+            for name, nodes in defs.items()}
+
+
+# each oracle and the names it must not reach through any chain of calls
+ORACLES = {
+    "is_gamma": {"covering", "_peel", "_pieces", "Hook", "is_gamma0"},
+    "covering": {"is_gamma"},
+    "generate_upsilon": {"is_gamma", "covering"},
+    "hook_decompositions": {"covering", "_peel", "_pieces"},
+    "_connected": {"_pieces", "components"},
+    "pi_set": {"covering", "is_gamma"},
+    "rim_hook_of_flip": {"covering", "is_gamma"},
+    "cartan_mult_sum": {"cartan_mult_witness", "cartan_matrix"},
+    "cartan_mult_witness": {"cartan_mult_sum", "cartan_matrix"},
+}
+
+
+def test_oracles_stay_independent():
+    # the independent oracles (membership, covering, the closures, the
+    # decomposition search, the flood fill, the flip sets and the two
+    # Cartan forms) derive from none of the others; this reads names in
+    # the source, and test_skew::test_gamma_reads_no_covering what runs
+    graph = _call_graph()
+    found = []
+    for oracle, banned in ORACLES.items():
+        assert {oracle} | banned <= graph.keys(), ({oracle} | banned) - graph.keys()
+        via = {oracle: None}  # each name reached, with the name it was reached from
+        todo = [oracle]
+        while todo:
+            name = todo.pop()
+            for ref in graph[name] - via.keys():
+                via[ref] = name
+                todo.append(ref)
+        for name in sorted(banned & via.keys()):
+            chain = [name]
+            while via[chain[-1]]:
+                chain.append(via[chain[-1]])
+            found.append(" -> ".join(reversed(chain)))
+    assert not found, found
