@@ -7,14 +7,19 @@ be empty (l == r), which happens for diagrams whose connected components
 are separated vertically.  Two diagrams are equal exactly when they agree
 as translation classes.
 
-The membership test `is_gamma` peels the covering by rim hooks (the
-rightmost box of each content off every connected component, recursively)
-and checks each hook for two conditions: width = height + 1, and no box
-strictly above the diagonal through the box of minimal content.  Each
-peel pass is one sweep over the row intervals that tests a hook as soon
-as its bottom row is read, and the first failing hook returns before the
-rest of the pass is read.  It builds no hooks and does not call
-`covering`, so the two stay independent.
+The covering peels rim hooks (the rightmost box of each content off every
+connected component, recursively) in one sweep over the row intervals per
+pass, and gives each hook as its top row and its row intervals, from which
+height, width, the minimal box and both hook conditions are read without
+a box set.  The membership test `is_gamma` peels by the same cut rule and
+checks each hook for two conditions: width = height + 1, and no box
+strictly above the diagonal through the box of minimal content.  Each of
+its passes tests a hook as soon as its bottom row is read, and the first
+failing hook returns before the rest of the pass is read.  It builds no
+hooks and does not call `covering`, so the two stay independent.
+
+`enumerate_skew_diagrams` walks the universe depth first and visits no
+node that is neither a diagram nor the parent of one.
 
 `occ_violation` validates row intervals from outside (`parse_skew` and
 `conjugate_skew` through `check_skew`, criterion 6).  The addable/removable
@@ -30,8 +35,8 @@ partitions only when that pass finds a fault.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import pairwise
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .partitions import INPUT_LIMIT, Partition, check_partition, format_partition
@@ -325,66 +330,119 @@ def _removable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, 
 # Hooks and coverings
 
 
-class Hook(namedtuple("Hook", "boxes")):
+class Hook(tuple):
     """A ribbon fixed in space (absolute box coordinates): ordered by
     content, each box lies right of or above the one before, so it is a
-    connected skew diagram with pairwise distinct contents.  `boxes` is a
-    frozenset of (row, column)."""
+    connected skew diagram with pairwise distinct contents.
+
+    It is stored as a tuple (top, rows): its top row and the column
+    interval (cut, r] of each of its rows, top down.  Those are a ribbon
+    exactly when every interval is nonempty and each lower row ends in
+    the column where the row above starts, r_{i+1} == cut_i + 1; that is
+    the one ribbon check, and `Hook(boxes)` groups a box set by row and
+    goes through it.  A box set has one such form, so a hook equals,
+    hashes and prints as the record Hook(boxes) with `boxes` a frozenset
+    of (row, column), which is built only when it is read.
+    """
 
     __slots__ = ()
 
     def __new__(cls, boxes: frozenset[tuple[int, int]]):
-        walk = sorted(boxes, key=lambda b: b[1] - b[0])
-        if not walk or any(b not in ((i, j + 1), (i - 1, j)) for (i, j), b in pairwise(walk)):
-            raise ValueError(f"not a ribbon: {sorted(boxes)}")
-        return super().__new__(cls, boxes)
+        cols: dict[int, list[int]] = {}
+        for i, j in boxes:
+            cols.setdefault(i, []).append(j)
+        top = min(cols, default=0)
+        rows = []
+        for i in range(top, top + len(cols)):
+            js = cols.get(i)
+            # a missing row between the top and the bottom, or a row with a
+            # gap, becomes the empty interval (0, 0), which the check refuses
+            rows.append((min(js) - 1, max(js)) if js and max(js) - min(js) < len(js) else (0, 0))
+        return cls.of_rows(top, tuple(rows), boxes)
+
+    @classmethod
+    def of_rows(cls, top: int, rows: tuple[tuple[int, int], ...], given=None) -> "Hook":
+        """The hook with rows (cut, r], top down from row `top`; raise
+        ValueError, naming the boxes `given` or else the rows, if they are
+        not a ribbon."""
+        if (not rows or any(cut >= r for cut, r in rows)
+                or any(r2 != cut + 1 for (cut, _), (_, r2) in pairwise(rows))):
+            raise ValueError(f"not a ribbon: {sorted(given) if given is not None else (top, rows)}")
+        return tuple.__new__(cls, (top, rows))
+
+    top = property(itemgetter(0))
+    rows = property(itemgetter(1))
+
+    @property
+    def boxes(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, (cut, r) in enumerate(self.rows, self.top)
+                         for j in range(cut + 1, r + 1))
 
     @property
     def ht(self) -> int:
-        return len({i for i, _ in self.boxes})
+        return len(self.rows)
 
     @property
     def wd(self) -> int:
-        return len({j for _, j in self.boxes})
+        """The columns from the bottom row's first to the top row's last."""
+        return self.rows[0][1] - self.rows[-1][0]
 
     @property
     def min_box(self) -> tuple[int, int]:
-        return min(self.boxes, key=lambda b: b[1] - b[0])
+        """The box of minimal content, the first of the bottom row."""
+        return self.top + len(self.rows) - 1, self.rows[-1][0] + 1
+
+    def __hash__(self) -> int:
+        return hash((self.boxes,))
+
+    def __repr__(self) -> str:
+        return f"Hook(boxes={self.boxes!r})"
+
+    def __getnewargs__(self):
+        return (self.boxes,)
 
 
 Covering = tuple
-
-
-def _peel(rows: Sequence[tuple[int, int]]) -> Iterator[tuple[list, list[list[int]], list[int]]]:
-    """The passes of the covering: the rows, their pieces and the cuts; a
-    piece's rim hook is columns cuts[i] + 1..r_i of each of its rows i.
-    `is_gamma` writes the same cut rule again in its own sweep."""
-    rows = list(rows)
-    while pieces := _pieces(rows):
-        # the rightmost box of a content has no box below and to its right;
-        # r never increases down the rows, so row i's rim starts at column
-        # max(l_i + 1, r_{i+1}), and the last row is all rim
-        cuts = [below - 1 if below > l else l for (l, _), (_, below) in pairwise(rows)]
-        cuts.append(rows[-1][0])
-        yield rows, pieces, cuts
-        rows = [(l, cut) for (l, _), cut in zip(rows, cuts)]
 
 
 def covering(k: SkewDiagram) -> Covering:
     """The covering of k: per connected component, repeatedly strip the
     outer rim hook made of the rightmost box of each content.
 
+    Each pass is one sweep over the rows.  The rightmost box of a content
+    has no box below and to its right, and r never increases down the
+    rows, so row i's rim starts at column cut_i + 1 with
+    cut_i = max(l_i, r_{i+1} - 1), and the last row is all rim; row i
+    keeps (l_i, cut_i] for the next pass.  Rows i and i + 1 lie in one
+    piece when both are nonempty and l_i < r_{i+1}; when a piece closes,
+    its hook is its top row and its rows (cut_i, r_i], top down.
+
     Hooks are returned with absolute coordinates in k's canonical frame,
     ordered by their first box in (row, column) order, the leftmost box of
-    their top row, which the peel gives as (top row, its cut + 1).  The
-    hooks are disjoint, so their first boxes differ (the sort never
-    compares two hooks) and this is the order of their box lists, each
-    sorted by (row, column).
+    their top row, which is the order of the (top, rows) tuples.  The
+    hooks are disjoint, so their first boxes differ, and this is the order
+    of their box lists, each sorted by (row, column).
     """
-    hooks = sorted(((piece[0] + 1, cuts[piece[0]] + 1),
-                    Hook(frozenset((i + 1, j) for i in piece for j in range(cuts[i] + 1, rows[i][1] + 1))))
-                   for rows, pieces, cuts in _peel(k.rows) for piece in pieces)
-    return tuple([h for _, h in hooks])
+    rows = k.rows
+    last = len(rows) - 1
+    hooks: list[Hook] = []
+    while True:
+        found = len(hooks)
+        nxt = []
+        piece: list[tuple[int, int]] = []  # the open piece's (cut, r], top down
+        for i, (l, r) in enumerate(rows):
+            l2, r2 = rows[i + 1] if i < last else (l, l)
+            cut = r2 - 1 if r2 > l else l
+            nxt.append((l, cut))
+            if l < r:
+                piece.append((cut, r))
+                if not (l < r2 and l2 < r2):  # row i + 1 does not join
+                    hooks.append(Hook.of_rows(i + 2 - len(piece), tuple(piece)))
+                    piece = []
+        if len(hooks) == found:
+            hooks.sort()
+            return tuple(hooks)
+        rows = nxt
 
 
 def hooks_disjoint(a: frozenset, b: frozenset) -> bool:
@@ -416,9 +474,10 @@ def width_condition(h: Hook) -> bool:
 
 def diagonal_condition(h: Hook) -> bool:
     """No box lies strictly above the diagonal through the minimal box:
-    the minimal box attains the minimal anticontent of the hook."""
+    the minimal box attains the minimal anticontent of the hook, and a
+    row's least anticontent is that of its first box."""
     a = sum(h.min_box)
-    return all(i + j >= a for i, j in h.boxes)
+    return all(i + cut + 1 >= a for i, (cut, _) in enumerate(h.rows, h.top))
 
 
 def is_gamma0(h: Hook) -> bool:
@@ -432,9 +491,9 @@ def is_gamma(k: SkewDiagram) -> bool:
     and no box above the diagonal through its minimal box; the empty
     diagram is a member.
 
-    It peels the covering as `_peel` does, with the same cut rule written
-    out again, but in one sweep over the rows per pass and without the
-    hooks: row i keeps columns l_i + 1..cut_i for the next pass, and a
+    It peels the covering as `covering` does, with the same cut rule
+    written out again in its own sweep over the rows per pass, but without
+    the hooks: row i keeps columns l_i + 1..cut_i for the next pass, and a
     piece closes at row i when row i + 1 is empty or l_i >= r_{i+1}.  The
     closed piece's hook has height bottom - top + 1, width
     r_top - cut_bottom and its minimal box first in the bottom row, so it
@@ -584,6 +643,12 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
     separation costs content span.  A node with m rows has span
     r1 + m - 2 >= m - 1, so the stack of child iterators, one per row
     count, holds at most span_cap + 1 of them.
+
+    The walk visits no dead leaf.  A row right of column 0 is made only
+    when a box is left for one more row and the span cap lets a row fit
+    below it, so every visited node is canonical or has the canonical
+    child (0, 1] right below it.  At N = 10 the walk visits 172,804
+    nodes for the 144,327 diagrams.
     """
     span_cap = check_universe(max_size, span_cap)
     yield EMPTY
@@ -595,23 +660,31 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
         budget = max_size - used
         # children by g, then r2 descending, then l2: g empty rows (r2, r2)
         # and row t = m + g + 1 as (l2, r2], its lowest content l2 + 1 - t
-        # >= maxcon - span_cap; after g >= 1 empty rows r2 <= l bounds g
-        for g in range(l + span_cap - maxcon - m if l else 1):
+        # >= maxcon - span_cap, i.e. l2 >= l_lo; after g >= 1 empty rows
+        # r2 <= l.  A child right of column 0 is kept only if a row fits
+        # below it (l_lo < 0) and a box is left for that row
+        for g in range(span_cap - maxcon - m + 1 if l else 1):  # l_lo <= 0
             l_lo = maxcon - span_cap + m + g
             for r2 in range(l if g else r, 0, -1):
                 head = rows + ((r2, r2),) * g
-                for l2 in range(max(0, r2 - budget, l_lo), min(l + 1, r2)):
-                    yield head + ((l2, r2),), used + r2 - l2
+                if r2 <= budget:
+                    yield head + ((0, r2),), used + r2
+                if l_lo < 0:
+                    for l2 in range(max(1, r2 - budget + 1), min(l + 1, r2)):
+                        yield head + ((l2, r2),), used + r2 - l2
 
-    # the first occupied row (l1, r1] has contents l1..r1 - 1
+    # the first occupied row (l1, r1] has contents l1..r1 - 1; one right of
+    # column 0 needs a box left and room for a row below (r1 <= span_cap)
     stack = [((((l1, r1),), r1 - l1) for l1 in range(span_cap + 1)
-              for r1 in range(l1 + 1, l1 + 1 + min(max_size, span_cap + 1)))]
+              for r1 in range(l1 + 1, 1 + (min(l1 + max_size - 1, span_cap) if l1
+                                           else min(max_size, span_cap + 1))))]
     while stack:
         for rows, used in stack[-1]:
             if rows[-1][0] == 0:  # canonical: the last row starts at column 0
                 yield SkewDiagram(rows)
             # every later row t has l >= maxcon - span_cap + t - 1 >= 1 once
-            # maxcon + m > span_cap, so no descendant reaches column 0
+            # maxcon + m > span_cap, so no descendant reaches column 0; a
+            # node right of column 0 always passes
             if used < max_size and rows[0][1] - 1 + len(rows) <= span_cap:
                 stack.append(below(rows, used))
                 break

@@ -229,7 +229,7 @@ def covering_uniqueness(max_size: int) -> CheckResult:
         boxes, cov = k.boxes(), skew.covering(k)
         hooks = [h.boxes for h in cov]
         ok = (sum(map(len, hooks)) == len(boxes) and frozenset().union(*hooks) == boxes
-              and not any(skew.is_gamma0(h) for h in cov if len(h.boxes) % 2)
+              and not any(len(b) % 2 and skew.is_gamma0(h) for h, b in zip(cov, hooks))
               and all(skew.disjoint_or_nested(a, b) for a, b in combinations(hooks, 2)))
         if boxes and _connected(boxes):
             connected += 1

@@ -1,6 +1,9 @@
 """The library's record types: tuple-based immutable records and the
 mutable check reports."""
 
+import copy
+import pickle
+
 import pytest
 
 from peribrauer.arrows import WeightDiagram, weight_of_partition
@@ -58,6 +61,13 @@ def test_frozen(record):
     with pytest.raises(AttributeError):
         x.extra = 1
     assert x == record[1]()
+
+
+def test_copy_and_pickle_round_trip(record):
+    make, _, other, _ = record
+    for x in (make(), other):
+        for y in (copy.copy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and type(y) is type(x)
 
 
 def test_repr_unchanged():

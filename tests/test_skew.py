@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import sys
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -448,6 +449,23 @@ def test_hook_check_matches_reference():
     assert accepted == 105  # ribbons inside a 3x4 box
 
 
+def test_interval_hooks_match_box_form():
+    # every covering hook of the universe at N = 8 and of its conjugates
+    # against its box set: built again from the boxes, and each statistic
+    # by its definition on the boxes
+    for k in enumerate_skew_diagrams(8):
+        for d in (k, conjugate_skew(k)):
+            for h in covering(d):
+                boxes = h.boxes
+                again = Hook(boxes)
+                assert again == h and hash(again) == hash(h), d
+                ht, wd = len({i for i, _ in boxes}), len({j for _, j in boxes})
+                low = min(boxes, key=lambda b: b[1] - b[0])
+                assert (h.ht, h.wd, h.min_box) == (ht, wd, low), d
+                assert skew.width_condition(h) == (wd == ht + 1), d
+                assert skew.diagonal_condition(h) == all(i + j >= sum(low) for i, j in boxes), d
+
+
 @pytest.mark.parametrize(
     "diagram,expected",
     [
@@ -509,7 +527,7 @@ def test_gamma_reads_no_covering(monkeypatch):
     def refuse(*args):
         raise AssertionError("is_gamma must not call the covering")
 
-    for name in ("_peel", "_pieces", "covering"):
+    for name in ("_pieces", "covering"):
         monkeypatch.setattr(skew, name, refuse)
     assert sum(map(is_gamma, enumerate_skew_diagrams(8))) == 172
 
@@ -609,6 +627,53 @@ def test_enumerate_order_is_pinned():
                    for n in range(8) for cap in (None, 0, 2, n + 3))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1ac5b5145ffb8e5fa22f034a818abbe5715893b23a46d90020575ce6a032e886")
+
+
+def _universe_counts(max_size: int, span_cap: int) -> Counter:
+    """The number of canonical diagrams of each (size, span) with size <=
+    max_size and span <= span_cap, counted without enumerating.
+
+    A connected diagram is a parallelogram polyomino, built a column at a
+    time from the left: a column of height h2 after one of height h has
+    its top d rows above the old top, h2 - h <= d < h2, so that it meets
+    the old column and ends no lower.  The state is (last height, area,
+    rows + columns), and the span is rows + columns - 2.  A diagram is its
+    components from the top right down, and consecutive ones have a
+    content gap d >= 2 with d - 1 placements; the span is the sum of the
+    components' spans and the gaps."""
+    connected = Counter()
+    layer = Counter({(h, h, h + 1): 1 for h in range(1, max_size + 1) if h <= span_cap + 1})
+    while layer:
+        grown = Counter()
+        for (h, area, rc), n in layer.items():
+            connected[area, rc - 2] += n
+            for h2 in range(1, max_size - area + 1):
+                for d in range(max(0, h2 - h), min(h2, span_cap + 2 - rc)):
+                    grown[h2, area + h2, rc + d + 1] += n
+        layer = grown
+    total, chains = Counter({(0, 0): 1}), connected
+    while chains:
+        total += chains
+        longer = Counter()
+        for (a1, s1), n1 in chains.items():
+            for (a2, s2), n2 in connected.items():
+                if a1 + a2 <= max_size:
+                    for d in range(2, span_cap - s1 - s2 + 1):
+                        longer[a1 + a2, s1 + d + s2] += n1 * n2 * (d - 1)
+        chains = longer
+    return total
+
+
+def test_enumerate_matches_counting_oracle():
+    # the (size, span) histogram of every universe up to N = 10, and of
+    # tighter and wider caps on the smaller ones, against the oracle
+    for n in range(11):
+        for cap in (None,) if n > 7 else (None, 0, 2, n + 3):
+            got = Counter((k.size, k.span()) for k in enumerate_skew_diagrams(n, cap))
+            assert got == _universe_counts(n, n + 1 if cap is None else cap), (n, cap)
+    # the frozen universe sizes, and beyond the enumerator's reach
+    totals = [sum(_universe_counts(n, n + 1).values()) for n in (8, 10, 11, 12, 14, 16)]
+    assert totals == [13046, 144327, 479627, 1594361, 17651748, 196058578]
 
 
 def test_enumerate_deeper_than_recursion_limit():

@@ -107,10 +107,10 @@ def _call_graph() -> dict[str, set[str]]:
 
 # each oracle and the names it must not reach through any chain of calls
 ORACLES = {
-    "is_gamma": {"covering", "_peel", "_pieces", "Hook", "is_gamma0"},
+    "is_gamma": {"covering", "_pieces", "Hook", "is_gamma0"},
     "covering": {"is_gamma"},
     "generate_upsilon": {"is_gamma", "covering"},
-    "hook_decompositions": {"covering", "_peel", "_pieces"},
+    "hook_decompositions": {"covering", "_pieces"},
     "_connected": {"_pieces", "components"},
     "pi_set": {"covering", "is_gamma"},
     "rim_hook_of_flip": {"covering", "is_gamma"},
