@@ -17,7 +17,7 @@ width and anticontent profile are dot-counting statistics of the pair.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, product
+from itertools import product
 from math import prod
 from typing import NamedTuple
 
@@ -158,31 +158,43 @@ def rim_hook_of_flip(p: Partition, pair) -> FlipHook:
     """Flip a wb pair of the weight diagram of p and predict the shape of
     the removed rim hook from dot counts alone.
 
-    The blacks are the beta-numbers p[i] - i and every position <= -len(p),
-    and a flip is an XOR of {s, t} on that set: extended down to
-    min(s, -len(p)), it is finite and sorts back into the parts
-    beta'[i] + i of the result.  The window and colour tests are those of
-    `flip`, on the window of `weight_of_partition`.
+    The blacks are the beta-numbers p[i] - i and every position <= -len(p).
+    A flip moves one beta-number from the black end of the pair to the
+    white end; when the black end lies below -len(p), the list of
+    beta-numbers is first extended down to it.  Sorted, the list gives
+    the parts beta'[i] + i of the result.  The window and colour tests
+    are those of `flip`, on the window of `weight_of_partition`.
 
     The box with content c + i (c the minimal content) has anticontent
     a + i - 2 * #{blacks in (source, source + i]}; the deltas drop a.
     """
     p = check_partition(p)
-    n = sum(p)
+    m, n = len(p), sum(p)
     s, t = pair
-    beta = {part - i for i, part in enumerate(p)}
-    s_black = s in beta or s <= -len(p)
-    _check_wb_pair(pair, -n - 2, n + 2, s_black, t in beta or t <= -len(p))
-    beta.update(range(min(s, -len(p)), 1 - len(p)))
-    # blacks[i] = #{blacks in (s, s + i]}
-    blacks = list(accumulate((c in beta for c in range(s + 1, t + 1)), initial=0))
-    ht = s_black + blacks[-1]
+    betas = [part - i for i, part in enumerate(p)]
+    black = set(betas)
+    s_black = s in black or s <= -m
+    _check_wb_pair(pair, -n - 2, n + 2, s_black, t in black or t <= -m)
+    deltas = []
+    count = 0  # blacks in (s, c)
+    for c in range(s + 1, t + 1):
+        deltas.append(c - s - 1 - 2 * count)
+        if c in black or c <= -m:
+            count += 1
+    ht = s_black + count
     wd = t - s - ht + 1
-    deltas = tuple(i - 2 * b for i, b in enumerate(blacks[:-1]))
-    beta ^= {s, t}
+    black_end, white_end = (s, t) if s_black else (t, s)
+    # every position <= -m is black, so only s can lie there (a t there
+    # would leave s black too); the list then takes the tail down to s, less s
+    if black_end <= -m:
+        betas.extend(range(-m, black_end, -1))
+    else:
+        betas.remove(black_end)
+    betas.append(white_end)
+    betas.sort(reverse=True)
     # parts are weakly decreasing and >= 0, so the zeros are the tail
-    lam = tuple([b + i for i, b in enumerate(sorted(beta, reverse=True)) if b + i])
-    return FlipHook(lam, ht, wd, deltas)
+    lam = tuple([b + i for i, b in enumerate(betas) if b + i])
+    return FlipHook(lam, ht, wd, tuple(deltas))
 
 
 def render_arrow_diagram(p: Partition) -> str:

@@ -148,6 +148,28 @@ def test_rim_hook_of_flip_any_pair_matches_weight_route():
                         "not a white-black pair": 643}
 
 
+def test_rim_hook_of_flip_bw_pairs_match_dot_counts():
+    # a black-white pair has the same dot-count statistics; when its black
+    # end lies below the beta-numbers, they count the black tail above it
+    def blacks(w, lo, hi):
+        return sum(w.is_black(c) for c in range(lo, hi + 1))
+
+    pairs = from_tail = 0
+    for n in range(6):
+        for mu in partitions_of(n):
+            w = weight_of_partition(mu)
+            for s, t in combinations(range(w.window_lo, w.window_hi + 1), 2):
+                if not w.is_black(s) or w.is_black(t):
+                    continue
+                pairs += 1
+                from_tail += s < -len(mu)
+                ht = blacks(w, s, t)
+                deltas = tuple(i - 2 * blacks(w, s + 1, s + i) for i in range(t - s))
+                fh = rim_hook_of_flip(mu, (s, t))
+                assert (fh.ht, fh.wd, fh.anticontent_deltas) == (ht, t - s - ht + 1, deltas)
+    assert (pairs, from_tail) == (681, 386)
+
+
 def test_adjacent_pair_removes_single_box():
     for mu in [(1,), (2, 1), (3, 3, 2)]:
         w = weight_of_partition(mu)

@@ -94,6 +94,87 @@ def test_relations_catch_broken_operator(monkeypatch, name, broken, kinds, first
     assert rep.violations[0] == first
 
 
+def _reference_tl(r_max, q_lo, q_hi):
+    """The relation loop that evaluates every instance, both sides each
+    time: (checks, violations) in `verify_tl`'s order."""
+    checks, violations = 0, []
+
+    def record(relation, r, lam, q, p, lhs, rhs):
+        nonlocal checks
+        checks += 1
+        if lhs != rhs:
+            violations.append((relation, r, lam, q, p, lhs, rhs))
+
+    qs = range(q_lo, q_hi + 1)
+    table = {}
+
+    def rx(v, x):
+        out = {}
+        for key, coeff in v.items():
+            if key not in table:
+                table[key] = tuple(tuple(grothendieck.apply_Rq({key: 1}, y).items())
+                                   for y in range(q_lo - 1, q_hi + 2))
+            for image, c in table[key][x - q_lo + 1]:
+                out[image] = out.get(image, 0) + coeff * c
+                if not out[image]:
+                    del out[image]
+        return out
+
+    for r in range(2, r_max + 1):
+        for lam in labels_L(r):
+            v = basis_class(r, lam)
+            rq = {q: rx(v, q) for q in qs}
+            for q in qs:
+                w = rq[q]
+                record("square", r, lam, q, None, rx(w, q), {})
+                for p in range(q + 2, q_hi + 1):
+                    record("commute", r, lam, q, p, rx(w, p), rx(rq[p], q))
+                rhs = grothendieck.apply_E(w)
+                for s in (1, -1):
+                    record("braid", r, lam, q, q + s, rx(rx(w, q + s), q), rhs)
+    return checks, violations
+
+
+@pytest.mark.parametrize("args", [(6, -8, 8), (8, -10, 10), (5, 0, 0), (7, 2, 3), (9, -20, 20)])
+def test_relations_match_reference(args):
+    rep = verify_tl(*args)
+    assert (rep.checks, rep.violations) == _reference_tl(*args)
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("add_q", lambda f: lambda p, q: None if q == 1 else f(p, q)),
+    ("remove_q", lambda f: lambda p, q: None if q == 2 and len(p) >= 2 else f(p, q)),
+    # a spurious nonzero image: R_3 keeps the partition it cannot shrink
+    ("remove_q", lambda f: lambda p, q: p if q == 3 else f(p, q)),
+], ids=["add_q", "remove_q", "remove_q_spurious"])
+def test_relations_match_reference_under_fault(monkeypatch, name, broken):
+    monkeypatch.setattr(grothendieck, name, broken(getattr(grothendieck, name)))
+    rep = verify_tl(8, -10, 10)
+    checks, violations = _reference_tl(8, -10, 10)
+    assert violations
+    assert (rep.checks, rep.violations) == (checks, violations)
+
+
+def test_relations_operator_calls(monkeypatch):
+    # apply_Rq once per reached class and content in q_lo - 1 .. q_hi + 1
+    # (112 classes, 23 contents), so a fault reaches every relation;
+    # apply_E once per nonzero R_q v
+    calls = Counter()
+
+    def counting(name):
+        f = getattr(grothendieck, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in ("apply_Rq", "apply_E"):
+        monkeypatch.setattr(grothendieck, name, counting(name))
+    assert verify_tl(8, -10, 10).checks == 28336
+    assert calls == {"apply_Rq": 2576, "apply_E": 248}
+
+
 def test_relations_reject_bad_r():
     with pytest.raises(ValueError):
         verify_tl(1, 0, 1)
