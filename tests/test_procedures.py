@@ -1,8 +1,11 @@
 import re
+from collections import Counter
 
 import pytest
 
+from peribrauer import procedures, skew
 from peribrauer.procedures import (
+    _op_e_raw,
     equivalence_report,
     generate_upsilon,
     op_E_all,
@@ -10,10 +13,19 @@ from peribrauer.procedures import (
     op_P_all,
     op_Pbar_all,
 )
-from peribrauer.skew import EMPTY, SkewDiagram, components, enumerate_skew_diagrams, is_gamma
+from peribrauer.skew import (
+    EMPTY,
+    SkewDiagram,
+    _addable_positions,
+    _addable_table,
+    _occ_add,
+    components,
+    enumerate_skew_diagrams,
+    is_gamma,
+)
 
 from test_skew import (
-    BLOCK23, DOMINO, HOOK4, NINE, SIX_B, SIX_C, STAIR4, STAIR6, brute_is_skew,
+    BLOCK23, DOMINO, HOOK4, NINE, SIX_B, SIX_C, STAIR4, STAIR6, brute_is_skew, join_components,
 )
 
 # q is relative to the canonical frame, box (1, 1) at content 0: the
@@ -139,24 +151,57 @@ def test_negative_universe_bounds_refused(build, max_size, span_cap, message):
         build(max_size, span_cap)
 
 
+def test_second_boxes_match_one_content_lookup():
+    # _op_e_raw reads the second boxes off occ's own d-addable boxes or the
+    # opened row; after every first box of every diagram with at most six
+    # boxes, within 7 contents of its range, they must be what a one-content
+    # table of the intermediate diagram holds
+    pairs = 0
+    for k in enumerate_skew_diagrams(6):
+        occ = k.occ()
+        lo, hi = k.content_range() if occ else (0, 0)
+        seconds = _addable_table(occ, lo - 7, hi + 8, down=True)
+        for c, firsts in _addable_table(occ, lo - 7, hi + 7, down=False).items():
+            for b in firsts:
+                mid = _occ_add(occ, *b)
+                want = [_occ_add(mid, *b2) for b2 in _addable_positions(mid, c + 1, down=True)]
+                assert _op_e_raw(occ, c + 1, [b], seconds.get(c + 1, [])) == want, (k.rows, b)
+                pairs += 1
+    assert pairs == 53330
+
+
+def _reference_E(k, q, barred):
+    """E_q (barred: Ebar_q) with the second boxes looked up in each
+    intermediate diagram by a one-content table, not by `_op_e_raw`."""
+    occ = k.occ()
+    out = set()
+    for b1 in _addable_positions(occ, q - 1, down=False):
+        mid = _occ_add(occ, *b1)
+        for b2 in _addable_positions(mid, q, down=True):
+            o = _occ_add(mid, *b2)
+            if not barred or not _addable_positions(o, q - 1, down=True):
+                out.add(SkewDiagram.from_occ(o))
+    return out
+
+
 def _reference_closure(max_size, barred, span_cap=None):
-    """The closure by the one-content operators: P at every q of the
-    content range, E at every q of the extension range."""
+    """The closure by one-content operators: P at every q of the content
+    range, E (`_reference_E`) at every q of the extension range."""
     cap = max_size + 1 if span_cap is None else span_cap
-    p_all, e_all = (op_Pbar_all, op_Ebar_all) if barred else (op_P_all, op_E_all)
+    p_all = op_Pbar_all if barred else op_P_all
     seen, frontier = {EMPTY}, [EMPTY]
     while frontier:
         k = frontier.pop()
         produced = set()
         if k.is_empty:
-            produced |= e_all(k, 0)
+            produced |= _reference_E(k, 0, barred)
         else:
             lo, hi = k.content_range()
             for q in range(lo, hi + 1):
                 produced |= p_all(k, q)
             if k.size + 2 <= max_size:
                 for q in range(hi - cap + 1, lo + cap + 1):
-                    produced |= e_all(k, q)
+                    produced |= _reference_E(k, q, barred)
         for res in produced - seen:
             if res.size <= max_size and res.span() <= cap:
                 seen.add(res)
@@ -166,10 +211,52 @@ def _reference_closure(max_size, barred, span_cap=None):
 
 @pytest.mark.parametrize("span_cap", [None, 5])
 def test_closure_matches_one_content_operators(span_cap):
-    # the closure reads its first boxes from one table per diagram; the
-    # public operators, one content at a time, must close to the same set
+    # the closure reads its first boxes from one table per diagram and its
+    # second boxes off the same tables; operators that look both up one
+    # content at a time must close to the same set
     for barred in (False, True):
         assert generate_upsilon(8, barred, span_cap) == _reference_closure(8, barred, span_cap)
+
+
+def test_closure_check_catches_opened_row_fault(monkeypatch):
+    # without the exception of the opened row, a second box lands under a
+    # row's first box across an empty row; the reference must see it
+    real = procedures._op_e_raw
+    monkeypatch.setattr(procedures, "_op_e_raw", lambda occ, c, firsts, seconds: real(
+        occ, c, firsts, seconds) + [occ | {i: (j - 1, j + 1)} for i, j in firsts if i not in occ])
+    for barred in (False, True):
+        assert generate_upsilon(8, barred) != _reference_closure(8, barred)
+
+
+def test_closure_builds_two_tables_per_member(monkeypatch):
+    # the plain closure builds the d-table and the u-table of each member
+    # and no table per first box
+    calls = 0
+    real = skew._addable_table
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(skew, "_addable_table", counted)
+    monkeypatch.setattr(procedures, "_addable_table", counted)
+    members = generate_upsilon(9, barred=False)
+    assert len(members) == 296
+    assert calls <= 2 * len(members), calls
+
+
+@pytest.mark.parametrize("n, connected, total", [(6, 9, 33), (8, 27, 172), (10, 86, 892)])
+def test_closure_joins_its_connected_members(n, connected, total):
+    # a diagram is a member exactly when its components are: the closure's
+    # (size, span) histogram is the gap-rule join of its connected members
+    for barred in (False, True):
+        members = generate_upsilon(n, barred)
+        pieces = Counter((k.size, k.span()) for k in members
+                         if not k.is_empty and len(components(k)) == 1)
+        assert sum(pieces.values()) == connected
+        assert Counter((k.size, k.span()) for k in members) == join_components(pieces, n, n + 1)
+        assert len(members) == total
 
 
 def test_generate_six_connected_members():

@@ -637,10 +637,8 @@ def _universe_counts(max_size: int, span_cap: int) -> Counter:
     time from the left: a column of height h2 after one of height h has
     its top d rows above the old top, h2 - h <= d < h2, so that it meets
     the old column and ends no lower.  The state is (last height, area,
-    rows + columns), and the span is rows + columns - 2.  A diagram is its
-    components from the top right down, and consecutive ones have a
-    content gap d >= 2 with d - 1 placements; the span is the sum of the
-    components' spans and the gaps."""
+    rows + columns), and the span is rows + columns - 2.  A diagram is a
+    chain of them (`join_components`)."""
     connected = Counter()
     layer = Counter({(h, h, h + 1): 1 for h in range(1, max_size + 1) if h <= span_cap + 1})
     while layer:
@@ -651,6 +649,16 @@ def _universe_counts(max_size: int, span_cap: int) -> Counter:
                 for d in range(max(0, h2 - h), min(h2, span_cap + 2 - rc)):
                     grown[h2, area + h2, rc + d + 1] += n
         layer = grown
+    return join_components(connected, max_size, span_cap)
+
+
+def join_components(connected: Counter, max_size: int, span_cap: int) -> Counter:
+    """The number of diagrams of each (size, span) with size <= max_size
+    and span <= span_cap whose components are counted by `connected`, a
+    histogram of (size, span): the components run from the top right
+    down, consecutive ones with a content gap d >= 2, which has d - 1
+    placements, and the span is the sum of the components' spans and the
+    gaps.  The empty diagram is the chain of none."""
     total, chains = Counter({(0, 0): 1}), connected
     while chains:
         total += chains
