@@ -76,8 +76,9 @@ def partition_of_weight(w: WeightDiagram) -> Partition:
 def wb_pairs(w: WeightDiagram) -> list[ArrowPair]:
     """All white-before-black pairs; finite since sources left of the
     window do not exist and targets right of it do not either."""
-    whites = [p for p in range(w.window_lo, w.window_hi + 1) if not w.is_black(p)]
-    blacks = sorted(w.blacks)
+    black = w.blacks
+    whites = [p for p in range(w.window_lo, w.window_hi + 1) if p not in black]
+    blacks = sorted(black)
     return [
         ArrowPair(s, t) for s in whites for t in blacks if s < t
     ]
@@ -86,13 +87,15 @@ def wb_pairs(w: WeightDiagram) -> list[ArrowPair]:
 def is_arrow_pair(w: WeightDiagram, pair: ArrowPair) -> bool:
     """The hw-condition (one more white than black in [source, target]) and
     the d-condition (no prefix of (source, target) with fewer whites than
-    blacks)."""
+    blacks).  Once s and t are known colours, s < t, (s, t) lies inside
+    the window, where black is membership in `w.blacks`."""
     s, t = pair
     if w.is_black(s) or not w.is_black(t) or s >= t:
         return False
+    black = w.blacks
     balance = 0  # whites minus blacks, positions s+1 .. c
     for c in range(s + 1, t):
-        balance += -1 if w.is_black(c) else 1
+        balance += -1 if c in black else 1
         if balance < 0:
             return False
     # counting the white s and black t as well, [s, t] holds one more

@@ -26,13 +26,22 @@ FLIP_LIMIT = 4096
 
 
 def check_partition(parts) -> Partition:
-    """Validate and normalise an iterable of parts into a partition tuple."""
+    """Validate and normalise an iterable of parts into a partition tuple.
+
+    One pass checks each part for being an int, positive and at most the
+    part above it.  Only on a fault are the parts read again, so that a
+    part that is not a positive integer is named before any increase."""
     p = tuple(parts)
+    above = p[0] if p else 0
+    for x in p:
+        if type(x) is not int or x < 1 or x > above:
+            break
+        above = x
+    else:
+        return p
     if any(type(x) is not int or x < 1 for x in p):
         raise ValueError(f"parts must be positive integers: {p!r}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise ValueError(f"parts must be weakly decreasing: {p!r}")
-    return p
+    raise ValueError(f"parts must be weakly decreasing: {p!r}")
 
 
 def check_grade(r: int, name: str = "r") -> None:
@@ -65,24 +74,27 @@ def add_q(p: Partition, q: int) -> Optional[Partition]:
 
     Row k (from 0, with a zero-length row after the last) can take a box
     of content p[k] - k; that value strictly decreases down the rows, so
-    at most one row matches.  Absence is reported as None rather than an
+    at most one row matches, and the scan stops at the first row whose
+    value is not above q - 1.  Absence is reported as None rather than an
     error.
     """
-    for k, x in enumerate(p + (0,)):
-        if x - k == q - 1:
-            if k and p[k - 1] == x:
-                return None  # the row above has the same length
+    c = q - 1
+    for k, x in enumerate(p):
+        if x - k <= c:
+            if x - k < c or (k and p[k - 1] == x):
+                return None  # no row matches, or the row above has the same length
             return p[:k] + (x + 1,) + p[k + 1:]
-    return None
+    return p + (1,) if c == -len(p) else None
 
 
 def remove_q(p: Partition, q: int) -> Optional[Partition]:
     """The partition obtained by removing a removable box of content q;
-    as in `add_q`, at most one row's last box has content q."""
+    as in `add_q`, at most one row's last box has content q, and the scan
+    stops at the first row whose last box has content at most q."""
     for k, x in enumerate(p):
-        if x - 1 - k == q:
-            if k + 1 < len(p) and p[k + 1] == x:
-                return None  # the row below has the same length
+        if x - 1 - k <= q:
+            if x - 1 - k < q or (k + 1 < len(p) and p[k + 1] == x):
+                return None  # no row matches, or the row below has the same length
             return p[:k] + ((x - 1,) if x > 1 else ()) + p[k + 1:]
     return None
 
@@ -107,18 +119,26 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 def subpartitions(p: Partition) -> Iterator[Partition]:
-    """All partitions contained in p."""
+    """All partitions contained in p, in decreasing lexicographic order of
+    their parts padded with zeros to len(p): p first, () last.
 
-    def gen(i: int, prev: int):
-        if i == len(p):
-            yield ()
+    The successor of a partition lowers its last part by one, dropping it
+    at zero, and refills the rows below greedily, each row as long as p
+    and the row above allow.  The loop keeps one list of parts and does
+    not recurse, so its stack depth does not grow with the rows of p.
+    """
+    cur = list(p)
+    while True:
+        yield tuple(cur)
+        if not cur:
             return
-        for part in range(min(p[i], prev), 0, -1):
-            for tail in gen(i + 1, part):
-                yield (part,) + tail
-        yield ()  # stop here; remaining rows empty
-
-    return gen(0, p[0] if p else 0)
+        x = cur.pop() - 1
+        if x:
+            cur.append(x)
+            for i in range(len(cur), len(p)):
+                if p[i] < x:
+                    x = p[i]
+                cur.append(x)
 
 
 def label_sort_key(p: Partition):

@@ -365,10 +365,15 @@ class Hook(tuple):
         """The hook with rows (cut, r], top down from row `top`; raise
         ValueError, naming the boxes `given` or else the rows, if they are
         not a ribbon."""
-        if (not rows or any(cut >= r for cut, r in rows)
-                or any(r2 != cut + 1 for (cut, _), (_, r2) in pairwise(rows))):
-            raise ValueError(f"not a ribbon: {sorted(given) if given is not None else (top, rows)}")
-        return tuple.__new__(cls, (top, rows))
+        if rows:
+            above = rows[0][1] - 1  # the top row has no row above to meet
+            for cut, r in rows:
+                if cut >= r or r != above + 1:
+                    break
+                above = cut
+            else:
+                return tuple.__new__(cls, (top, rows))
+        raise ValueError(f"not a ribbon: {sorted(given) if given is not None else (top, rows)}")
 
     top = property(itemgetter(0))
     rows = property(itemgetter(1))
@@ -417,6 +422,10 @@ def covering(k: SkewDiagram) -> Covering:
     piece when both are nonempty and l_i < r_{i+1}; when a piece closes,
     its hook is its top row and its rows (cut_i, r_i], top down.
 
+    A row keeps boxes exactly when l_i < cut_i, and an empty row never
+    regains one, so the pass that leaves no box is the last: a single
+    hook takes one pass.
+
     Hooks are returned with absolute coordinates in k's canonical frame,
     ordered by their first box in (row, column) order, the leftmost box of
     their top row, which is the order of the (top, rows) tuples.  The
@@ -427,19 +436,23 @@ def covering(k: SkewDiagram) -> Covering:
     last = len(rows) - 1
     hooks: list[Hook] = []
     while True:
-        found = len(hooks)
         nxt = []
+        kept = False  # some row keeps a box for the next pass
         piece: list[tuple[int, int]] = []  # the open piece's (cut, r], top down
         for i, (l, r) in enumerate(rows):
             l2, r2 = rows[i + 1] if i < last else (l, l)
-            cut = r2 - 1 if r2 > l else l
+            if r2 > l + 1:  # row i keeps (l, cut]
+                cut = r2 - 1
+                kept = True
+            else:
+                cut = l
             nxt.append((l, cut))
             if l < r:
                 piece.append((cut, r))
                 if not (l < r2 and l2 < r2):  # row i + 1 does not join
                     hooks.append(Hook.of_rows(i + 2 - len(piece), tuple(piece)))
                     piece = []
-        if len(hooks) == found:
+        if not kept:
             hooks.sort()
             return tuple(hooks)
         rows = nxt

@@ -65,6 +65,25 @@ def test_arrow_pair_fixtures():
     assert not is_arrow_pair(w, ArrowPair(1, -1))  # target left of source
 
 
+def test_pairs_match_colour_by_colour_reference():
+    # wb pairs and arrow pairs against the definitions, every colour read
+    # through is_black
+    for n in range(0, 11):
+        for mu in partitions_of(n):
+            w = weight_of_partition(mu)
+            window = range(w.window_lo, w.window_hi + 1)
+            wb = [ArrowPair(s, t) for s in window for t in window
+                  if s < t and not w.is_black(s) and w.is_black(t)]
+            arrows = []
+            for s, t in wb:
+                steps = [-1 if w.is_black(c) else 1 for c in range(s, t + 1)]
+                prefixes = [sum(steps[1:m]) for m in range(2, len(steps))]
+                if sum(steps) == 1 and all(x >= 0 for x in prefixes):
+                    arrows.append(ArrowPair(s, t))
+            assert wb_pairs(w) == wb, mu
+            assert arrow_pairs(w) == arrows, mu
+
+
 def test_flip_fixtures():
     w = weight_of_partition((3, 2))
     assert partition_of_weight(flip(w, (-1, 3))) == (1,)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,14 +53,31 @@ def brute_remove_q(p, q):
 
 
 def test_check_partition_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^parts must be weakly decreasing"):
         check_partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^parts must be positive integers"):
         check_partition((2, 0))
     # a bool is an int subclass, but not a part
     for bad in ((True,), (2, True)):
         with pytest.raises(ValueError, match="^parts must be positive integers"):
             check_partition(bad)
+
+
+@pytest.mark.parametrize(
+    "parts,reason",
+    [
+        # a part that is not a positive integer is named before an increase
+        ((1, 2, 0), "positive integers"),
+        ((3, 0, 1), "positive integers"),
+        ((2, 1.0), "positive integers"),
+        (("2",), "positive integers"),
+        ((2, None), "positive integers"),
+        ((1, 2), "weakly decreasing"),
+    ],
+)
+def test_check_partition_names_the_fault(parts, reason):
+    with pytest.raises(ValueError, match=re.escape(f"parts must be {reason}: {parts!r}")):
+        check_partition(parts)
 
 
 @pytest.mark.parametrize(
@@ -102,6 +121,15 @@ def test_add_remove_against_oracle():
             for q in range(-9, 10):
                 assert add_q(p, q) == brute_add_q(p, q)
                 assert remove_q(p, q) == brute_remove_q(p, q)
+
+
+def test_add_remove_against_oracle_past_every_row():
+    # q reaches past the contents of every row at both ends
+    for n in range(0, 11):
+        for p in partitions_of(n):
+            for q in range(-(n + 3), n + 4):
+                assert add_q(p, q) == brute_add_q(p, q), (p, q)
+                assert remove_q(p, q) == brute_remove_q(p, q), (p, q)
 
 
 def test_add_remove_roundtrip():
@@ -175,9 +203,37 @@ def test_labels_reject_small_r():
 
 
 def test_subpartitions():
-    subs = set(subpartitions((2, 1)))
-    assert subs == {(), (1,), (2,), (1, 1), (2, 1)}
-    assert set(subpartitions(())) == {()}
+    # criterion 3 reports violations in this order
+    assert list(subpartitions((2, 1))) == [(2, 1), (2,), (1, 1), (1,), ()]
+    assert list(subpartitions(())) == [()]
+
+
+def _subpartitions_recursive(p):
+    """Reference: every row takes each length from the largest that p and
+    the row above allow down to 1, each followed by all tails, and then
+    ends the partition."""
+
+    def gen(i, prev):
+        if i == len(p):
+            yield ()
+            return
+        for part in range(min(p[i], prev), 0, -1):
+            for tail in gen(i + 1, part):
+                yield (part,) + tail
+        yield ()
+
+    return gen(0, p[0] if p else 0)
+
+
+def test_subpartitions_order():
+    for n in range(0, 11):
+        for p in partitions_of(n):
+            assert list(subpartitions(p)) == list(_subpartitions_recursive(p)), p
+
+
+def test_subpartitions_many_rows():
+    # a column of 1000 boxes is within the input limit, and as deep as one row
+    assert len(list(subpartitions((1,) * 1000))) == 1001
 
 
 @given(partitions)

@@ -411,6 +411,27 @@ def test_hook_stats():
         Hook(frozenset(BLOCK23.boxes()))  # repeated contents
 
 
+@pytest.mark.parametrize(
+    "top,rows",
+    [
+        (1, ()),  # no rows
+        (1, ((2, 2),)),  # an empty row
+        (2, ((3, 5), (1, 1))),  # an empty bottom row
+        (1, ((2, 4), (0, 2))),  # the lower row ends left of where the upper starts
+        (1, ((2, 4), (1, 4))),  # the lower row ends right of it
+    ],
+)
+def test_hook_rows_refusal(top, rows):
+    with pytest.raises(ValueError, match=re.escape(f"not a ribbon: {(top, rows)}")):
+        Hook.of_rows(top, rows)
+
+
+def test_hook_boxes_refusal():
+    for boxes in ({(1, 1), (2, 2)}, {(1, 1), (1, 3)}, {(1, 1), (1, 2), (2, 1), (2, 2)}):
+        with pytest.raises(ValueError, match=re.escape(f"not a ribbon: {sorted(boxes)}")):
+            Hook(frozenset(boxes))
+
+
 def _is_hook_reference(boxes) -> bool:
     """Nonempty, edge-connected, pairwise distinct contents, and a skew
     shape."""
