@@ -84,6 +84,27 @@ def wb_pairs(w: WeightDiagram) -> list[ArrowPair]:
     ]
 
 
+def _arrow_targets(black, s: int, end: int) -> list[int]:
+    """The targets t <= end of the arrow pairs (s, t) from the white
+    source s, left to right; `black` holds the blacks of a window holding
+    s and end.  The balance counts whites minus blacks strictly between s
+    and the position reached.  A black reached at balance 1 is a target;
+    one reached at balance 0 takes every later prefix below 0."""
+    targets = []
+    balance = 0
+    for c in range(s + 1, end + 1):
+        if c not in black:
+            balance += 1
+        elif balance == 1:
+            targets.append(c)
+            balance = 0
+        elif balance:
+            balance -= 1
+        else:
+            break
+    return targets
+
+
 def is_arrow_pair(w: WeightDiagram, pair: ArrowPair) -> bool:
     """The hw-condition (one more white than black in [source, target]) and
     the d-condition (no prefix of (source, target) with fewer whites than
@@ -92,19 +113,15 @@ def is_arrow_pair(w: WeightDiagram, pair: ArrowPair) -> bool:
     s, t = pair
     if w.is_black(s) or not w.is_black(t) or s >= t:
         return False
-    black = w.blacks
-    balance = 0  # whites minus blacks, positions s+1 .. c
-    for c in range(s + 1, t):
-        balance += -1 if c in black else 1
-        if balance < 0:
-            return False
-    # counting the white s and black t as well, [s, t] holds one more
-    # white than black exactly when the open interval balances to +1
-    return balance == 1
+    return t in _arrow_targets(w.blacks, s, t)
 
 
 def arrow_pairs(w: WeightDiagram) -> list[ArrowPair]:
-    return [p for p in wb_pairs(w) if is_arrow_pair(w, p)]
+    """The arrow pairs ordered by source, then target: one scan per white
+    source, since right of the window there is no black."""
+    black, hi = w.blacks, w.window_hi
+    return [ArrowPair(s, t) for s in range(w.window_lo, hi + 1) if s not in black
+            for t in _arrow_targets(black, s, hi)]
 
 
 def _check_wb_pair(pair, lo: int, hi: int, s_black: bool, t_black: bool) -> None:

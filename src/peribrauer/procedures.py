@@ -27,8 +27,7 @@ second box needs no third table: after a first box that extends an
 occupied row, the d-addable q-boxes are those of P's table, and a first
 box that opens an empty row has at most one second box, the next box of
 that row (`_op_e_raw`).  So the closure builds two tables per diagram and
-copies the row intervals only for a first box with a second box: at
-N = 11, 7,624 of the 12,750 first boxes of the two closures.
+copies the row intervals only for a first box with a second box.
 Termination of the closure is size-driven: E grows a diagram by two boxes
 and P permutes contents, so within a size bound and a content-span bound
 the reachable set is finite.
@@ -166,9 +165,7 @@ def generate_upsilon(max_size: int, barred: bool,
     second boxes off P's table: a first box at a row's left end has
     content l_i - i, so the q-boxes after it lie in the content range, and
     a first box in an empty row has at most the one next to it
-    (`_op_e_raw`).  On the bench's `closure` workload (both closures at
-    N = 11) that takes the tables from 22,497 to 9,747 and the row copies
-    from 20,374 to 8,350.
+    (`_op_e_raw`).
     """
     span_cap = check_universe(max_size, span_cap)
     seen = {EMPTY}

@@ -660,8 +660,7 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
     The walk visits no dead leaf.  A row right of column 0 is made only
     when a box is left for one more row and the span cap lets a row fit
     below it, so every visited node is canonical or has the canonical
-    child (0, 1] right below it.  At N = 10 the walk visits 172,804
-    nodes for the 144,327 diagrams.
+    child (0, 1] right below it.
     """
     span_cap = check_universe(max_size, span_cap)
     yield EMPTY

@@ -82,6 +82,18 @@ def flip_sets(max_size: int) -> CheckResult:
     return CheckResult("flip_sets", {"max_size": max_size}, checked, bad)
 
 
+def _anticontent_deltas(h: skew.Hook) -> tuple[int, ...]:
+    """The anticontents i + j of the hook's boxes in content order, less
+    the minimal box's.  From the minimal box, the first of the bottom row,
+    the ribbon steps right along a row (+1) and then up into the row
+    above, whose first column is the lower row's last (-1)."""
+    deltas, a = [], 0
+    for cut, r in reversed(h.rows):
+        deltas += range(a, a + r - cut)
+        a += r - cut - 2
+    return tuple(deltas)
+
+
 @_timed
 def arrow_flips(max_size: int) -> CheckResult:
     """Criterion 4: every white-black flip of mu removes one rim hook whose
@@ -99,10 +111,9 @@ def arrow_flips(max_size: int) -> CheckResult:
                     reason = "not a single hook"
                 else:
                     h = cov[0]
-                    acs = [i + j for i, j in sorted(h.boxes, key=lambda b: b[1] - b[0])]
                     if (
                         (h.ht, h.wd) == (fh.ht, fh.wd)
-                        and tuple(a - acs[0] for a in acs) == fh.anticontent_deltas
+                        and _anticontent_deltas(h) == fh.anticontent_deltas
                         and arrows.is_arrow_pair(w, pair) == skew.is_gamma0(h)
                     ):
                         continue

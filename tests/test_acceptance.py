@@ -15,14 +15,17 @@ import time
 import pytest
 
 from peribrauer import verify
-from peribrauer.arrows import pi_set
+from peribrauer.arrows import pi_set, rim_hook_of_flip, wb_pairs, weight_of_partition
 from peribrauer.multiplicities import cartan_matrix
+from peribrauer.partitions import partitions_of
 from peribrauer.procedures import generate_upsilon
 from peribrauer.skew import (
     SkewDiagram,
     components,
+    covering,
     enumerate_skew_diagrams,
     is_gamma,
+    skew_from_pair,
 )
 
 from test_skew import NINE
@@ -80,6 +83,20 @@ def test_criterion_3_flip_sets_match_membership():
 def test_criterion_4_arrow_pairs_match_hooks():
     check("criterion 4: every flip removes the predicted rim hook, |mu| <= 12",
           verify.arrow_flips(12), 2646)
+
+
+def test_criterion_4_deltas_read_off_rows():
+    # the anticontent profile read off the rows equals the one from the
+    # boxes sorted by content, on every flip hook of |mu| <= 15
+    hooks = 0
+    for n in range(16):
+        for mu in partitions_of(n):
+            for pair in wb_pairs(weight_of_partition(mu)):
+                (h,) = covering(skew_from_pair(mu, rim_hook_of_flip(mu, pair).partition))
+                acs = [i + j for i, j in sorted(h.boxes, key=lambda b: b[1] - b[0])]
+                assert verify._anticontent_deltas(h) == tuple(a - acs[0] for a in acs), h
+                hooks += 1
+    assert hooks == 8489
 
 
 def test_criterion_5_rim_two_hooks():

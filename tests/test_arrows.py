@@ -68,7 +68,7 @@ def test_arrow_pair_fixtures():
 def test_pairs_match_colour_by_colour_reference():
     # wb pairs and arrow pairs against the definitions, every colour read
     # through is_black
-    for n in range(0, 11):
+    for n in range(0, 16):
         for mu in partitions_of(n):
             w = weight_of_partition(mu)
             window = range(w.window_lo, w.window_hi + 1)
@@ -82,6 +82,15 @@ def test_pairs_match_colour_by_colour_reference():
                     arrows.append(ArrowPair(s, t))
             assert wb_pairs(w) == wb, mu
             assert arrow_pairs(w) == arrows, mu
+
+
+def test_is_arrow_pair_matches_arrow_pairs():
+    # both read the one scan, is_arrow_pair stopping it at the target;
+    # arrow_pairs keeps the order of wb_pairs
+    for n in range(0, 16):
+        for mu in partitions_of(n):
+            w = weight_of_partition(mu)
+            assert arrow_pairs(w) == [p for p in wb_pairs(w) if is_arrow_pair(w, p)], mu
 
 
 def test_flip_fixtures():

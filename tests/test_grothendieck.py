@@ -173,6 +173,10 @@ def test_relations_operator_calls(monkeypatch):
         monkeypatch.setattr(grothendieck, name, counting(name))
     assert verify_tl(8, -10, 10).checks == 28336
     assert calls == {"apply_Rq": 2576, "apply_E": 248}
+    calls.clear()
+    # the bench's size: 523 classes, of which 1,517 images R_q v are nonzero
+    assert verify_tl(12, -12, 12).checks == 183573
+    assert calls == {"apply_Rq": 14121, "apply_E": 1517}
 
 
 def test_relations_reject_bad_r():
