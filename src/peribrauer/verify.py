@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import time
-from itertools import combinations
 from typing import Optional
 
 from . import arrows, grothendieck, multiplicities, partitions, procedures, skew
@@ -218,33 +217,32 @@ def cartan(r_max: int) -> CheckResult:
     return CheckResult("cartan", {"r_max": r_max}, checked, bad)
 
 
-def _connected(boxes: frozenset) -> bool:
-    """Whether the nonempty box set is edge-connected, by a flood fill."""
-    left, todo = set(boxes), [next(iter(boxes))]
-    while todo:
-        i, j = box = todo.pop()
-        if box in left:
-            left.remove(box)
-            todo += (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)
-    return not left
-
-
 @_timed
 def covering_uniqueness(max_size: int) -> CheckResult:
     """Criterion 9: every diagram with at most `max_size` boxes has one
     decomposition into pairwise disjoint-or-nested hooks, its covering, whose
     member hooks have even size.  Hooks are edge-connected, so k decomposes as
-    its components do, and only they, the `connected` diagrams, are searched."""
+    its components do, and only they, the `connected` diagrams, are searched:
+    each once, its hooks moved into the frame of every k it is a component of."""
+    found: dict[SkewDiagram, Optional[list]] = {}  # connected diagram -> its hooks, None if it fails
     connected, bad = 0, []
     for checked, k in enumerate(skew.enumerate_skew_diagrams(max_size), 1):
-        boxes, cov = k.boxes(), skew.covering(k)
-        hooks = [h.boxes for h in cov]
-        ok = (sum(map(len, hooks)) == len(boxes) and frozenset().union(*hooks) == boxes
-              and not any(len(b) % 2 and skew.is_gamma0(h) for h, b in zip(cov, hooks))
-              and all(skew.disjoint_or_nested(a, b) for a, b in combinations(hooks, 2)))
-        if boxes and _connected(boxes):
-            connected += 1
-            ok = skew.hook_decompositions(k) == [frozenset(hooks)] and ok
+        comps = skew.components(k)
+        connected += len(comps) == 1
+        expected = []
+        for c, (dr, dc) in comps:
+            if c not in found:
+                decs = skew.hook_decompositions(c)
+                hooks = [(skew.Hook(b), len(b)) for b in decs[0]] if len(decs) == 1 else []
+                odd = any(n % 2 and skew.is_gamma0(h) for h, n in hooks)
+                found[c] = [h for h, _ in hooks] if hooks and not odd else None
+            if found[c] is None:
+                ok = len(comps) > 1  # a failing component, itself a diagram, reports it
+                break
+            expected += [(top + dr, tuple((cut + dc, r + dc) for cut, r in rows))
+                         for top, rows in found[c]]
+        else:
+            ok = list(skew.covering(k)) == sorted(expected)
         if not ok:
             bad.append({"diagram": format_skew(k), "decompositions": len(skew.hook_decompositions(k))})
     return CheckResult("covering_uniqueness", {"max_size": max_size}, checked, bad,

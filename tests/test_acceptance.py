@@ -126,16 +126,29 @@ def test_criterion_9_covering_uniqueness():
           verify.covering_uniqueness(10), 144327, connected=2271)
 
 
+def _connected(boxes: frozenset) -> bool:
+    """Whether the nonempty box set is edge-connected, by a flood fill."""
+    left, todo = set(boxes), [next(iter(boxes))]
+    while todo:
+        i, j = box = todo.pop()
+        if box in left:
+            left.remove(box)
+            todo += (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)
+    return not left
+
+
 def test_criterion_9_connected_split():
     # the flood fill agrees with the components, and the connected
-    # diagrams by size are the parallelogram polyominoes (OEIS A006958)
+    # diagrams by size are the parallelogram polyominoes (OEIS A006958),
+    # which are the ones criterion 9 counts as connected
     by_size = [0] * 9
     for k in enumerate_skew_diagrams(8):
         if not k.is_empty:
-            connected = verify._connected(k.boxes())
+            connected = _connected(k.boxes())
             assert connected == (len(components(k)) == 1), k
             by_size[k.size] += connected
     assert by_size[1:] == [1, 2, 4, 9, 20, 46, 105, 242]
+    assert verify.covering_uniqueness(8).counts["connected"] == sum(by_size) == 429
 
 
 @pytest.mark.parametrize("name", list(verify.REGISTRY))
@@ -175,6 +188,10 @@ def test_negative_sizes_refused():
     ("skew", "covering", lambda f: lambda k: f(k)[len(components(k)) > 1:],
      "covering_uniqueness", 98, 81,
      {"diagram": "1:1..2;2:1..2;3:1..2;4:0..1", "decompositions": 1}),
+    # every occupied row is its own component, so a split that is too
+    # fine cannot hide a covering hook that crosses rows
+    ("skew", "_pieces", lambda f: lambda rows: [[i] for i, (l, r) in enumerate(rows) if l < r],
+     "covering_uniqueness", 98, 54, {"diagram": "1:0..1;2:0..1", "decompositions": 1}),
     # the closures lose every first box in an empty row more than one row
     # from the diagram, so two dominoes one empty row apart are not reached
     ("procedures", "_addable_table",
@@ -185,7 +202,7 @@ def test_negative_sizes_refused():
      {"diagram": "1:2..4;2:2..2;3:0..2", "covering": True, "plain": False, "barred": False}),
 ], ids=["flip_sets", "arrow_flips", "rim_two_hooks", "vertical_dominoes", "cartan",
         "covering_uniqueness", "covering_uniqueness_search",
-        "covering_uniqueness_disconnected", "equivalence"])
+        "covering_uniqueness_disconnected", "covering_uniqueness_split", "equivalence"])
 def test_registry_check_catches_fault(monkeypatch, module, name, broken, check, checked,
                                       violations, first):
     # a fault patched into a function the check looks up must fail it

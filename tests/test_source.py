@@ -108,10 +108,10 @@ def _call_graph() -> dict[str, set[str]]:
 # each oracle and the names it must not reach through any chain of calls
 ORACLES = {
     "is_gamma": {"covering", "_pieces", "Hook", "is_gamma0"},
-    "covering": {"is_gamma"},
+    "covering": {"is_gamma", "_pieces", "components"},
+    "components": {"covering", "is_gamma", "hook_decompositions"},
     "generate_upsilon": {"is_gamma", "covering"},
     "hook_decompositions": {"covering", "_pieces"},
-    "_connected": {"_pieces", "components"},
     "pi_set": {"covering", "is_gamma"},
     "rim_hook_of_flip": {"covering", "is_gamma"},
     "cartan_mult_sum": {"cartan_mult_witness", "cartan_matrix"},
@@ -121,7 +121,7 @@ ORACLES = {
 
 def test_oracles_stay_independent():
     # the independent oracles (membership, covering, the closures, the
-    # decomposition search, the flood fill, the flip sets and the two
+    # decomposition search, the component split, the flip sets and the two
     # Cartan forms) derive from none of the others; this reads names in
     # the source, and test_skew::test_gamma_reads_no_covering what runs
     graph = _call_graph()
