@@ -31,6 +31,11 @@ copies the row intervals only for a first box with a second box.
 Termination of the closure is size-driven: E grows a diagram by two boxes
 and P permutes contents, so within a size bound and a content-span bound
 the reachable set is finite.
+
+The closure looks each outcome up before it tests it: only a new diagram
+meets the bounds and, if barred, the filter.  The closure is the same:
+an edge into a member adds nothing, and the bounds and the filter are
+two tests of one edge, so their order is free.
 """
 
 from __future__ import annotations
@@ -88,7 +93,9 @@ def _op_e_raw(occ: Occ, c: int, firsts: list[tuple[int, int]],
       l_a = j, since it would sit under row a's first box across an empty
       row.
 
-    occ is copied only for a first box that has a second box.
+    occ is copied only for a first box that has a second box.  Its top
+    row is row 1, as in `SkewDiagram.occ`, so the row a above an opened
+    row i > 1 is the first occupied one up from row i - 1.
     """
     out = []
     for i, j in firsts:
@@ -97,7 +104,9 @@ def _op_e_raw(occ: Occ, c: int, firsts: list[tuple[int, int]],
                 occ2 = _occ_add(occ, i, j)
                 out += [_occ_add(occ2, *b) for b in seconds]
             continue
-        a = max((row for row in occ if row < i), default=i - 1)  # nearest occupied above
+        a = i - 1  # the nearest occupied row above; none above row 1, the top
+        while a > 0 and a not in occ:
+            a -= 1
         if a == i - 1 or occ[a][0] != j:
             occ2 = dict(occ)
             occ2[i] = (j - 1, j + 1)
@@ -105,11 +114,15 @@ def _op_e_raw(occ: Occ, c: int, firsts: list[tuple[int, int]],
     return out
 
 
+def _barred_keeps(occ: Occ, bar: int) -> bool:
+    """The barred filter: occ admits no d-addable box of content bar."""
+    return not _addable_positions(occ, bar, down=True)
+
+
 def _outcomes(outs: list[Occ], bar: Optional[int]) -> set[SkewDiagram]:
-    """The diagrams of the outcomes; given a content `bar`, only those that
-    admit no d-addable box of it (the barred filter)."""
-    return {SkewDiagram.from_occ(o) for o in outs
-            if bar is None or not _addable_positions(o, bar, down=True)}
+    """The diagrams of the outcomes; given a content `bar`, only those the
+    barred filter keeps."""
+    return {SkewDiagram.from_occ(o) for o in outs if bar is None or _barred_keeps(o, bar)}
 
 
 def op_P_all(k: SkewDiagram, q: int) -> set[SkewDiagram]:
@@ -166,6 +179,12 @@ def generate_upsilon(max_size: int, barred: bool,
     content l_i - i, so the q-boxes after it lie in the content range, and
     a first box in an empty row has at most the one next to it
     (`_op_e_raw`).
+
+    Each outcome is canonicalised and looked up first: only a diagram not
+    yet in the closure meets the bounds and, if barred, the filter
+    (`_barred_keeps`).  An edge into a member adds nothing, and the bounds
+    and the filter test one edge in either order, so this is the closure
+    that filters every outcome first.  {empty} is a member from the start.
     """
     span_cap = check_universe(max_size, span_cap)
     seen = {EMPTY}
@@ -177,23 +196,21 @@ def generate_upsilon(max_size: int, barred: bool,
         # translates of the domino: one content is enough
         lo, hi = k.content_range() if occ else (1, 0)
         e_lo, e_hi = (hi - span_cap, lo + span_cap - 1) if occ else (-1, -1)
-        produced: set[SkewDiagram] = set()
         lefts = {l + 1 - i for i, (l, _) in occ.items()}  # contents a push can move
         d_table = _addable_table(occ, lo, hi, down=True)
-        for c, firsts in d_table.items():
-            if c in lefts:
-                produced |= _outcomes(_op_p_raw(occ, c, firsts), c + 1 if barred else None)
+        # each operator's outcomes with the content of its barred filter
+        steps = [(_op_p_raw(occ, c, firsts), c + 1) for c, firsts in d_table.items() if c in lefts]
         if k.size + 2 <= max_size:
-            for c, firsts in _addable_table(occ, e_lo, e_hi, down=False).items():
-                outs = _op_e_raw(occ, c + 1, firsts, d_table.get(c + 1, []))
-                produced |= _outcomes(outs, c if barred else None)
-        for res in produced:
-            if res.is_empty or res in seen:
-                continue
-            if res.size > max_size or res.span() > span_cap:
-                continue
-            seen.add(res)
-            frontier.append(res)
+            steps += [(_op_e_raw(occ, c + 1, firsts, d_table.get(c + 1, [])), c)
+                      for c, firsts in _addable_table(occ, e_lo, e_hi, down=False).items()]
+        for outs, bar in steps:
+            for o in outs:
+                res = SkewDiagram.from_occ(o)
+                if (res in seen or res.size > max_size or res.span() > span_cap
+                        or barred and not _barred_keeps(o, bar)):
+                    continue
+                seen.add(res)
+                frontier.append(res)
     return frozenset(seen)
 
 

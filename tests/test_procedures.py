@@ -209,11 +209,13 @@ def _reference_closure(max_size, barred, span_cap=None):
     return frozenset(seen)
 
 
-@pytest.mark.parametrize("span_cap", [None, 5])
+@pytest.mark.parametrize("span_cap", [None, 0, 1, 3, 5])
 def test_closure_matches_one_content_operators(span_cap):
     # the closure reads its first boxes from one table per diagram and its
-    # second boxes off the same tables; operators that look both up one
-    # content at a time must close to the same set
+    # second boxes off the same tables, and tests the bounds of an outcome
+    # only once it is not yet a member (at span cap 0 they reject the
+    # domino); operators that look both up one content at a time and
+    # bound every outcome must close to the same set
     for barred in (False, True):
         assert generate_upsilon(8, barred, span_cap) == _reference_closure(8, barred, span_cap)
 
@@ -228,22 +230,48 @@ def test_closure_check_catches_opened_row_fault(monkeypatch):
         assert generate_upsilon(8, barred) != _reference_closure(8, barred)
 
 
-def test_closure_builds_two_tables_per_member(monkeypatch):
-    # the plain closure builds the d-table and the u-table of each member
-    # and no table per first box
-    calls = 0
+def _count_tables(monkeypatch):
+    """A one-item list that counts the `_addable_table` calls from now on."""
+    calls = [0]
     real = skew._addable_table
 
     def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(skew, "_addable_table", counted)
     monkeypatch.setattr(procedures, "_addable_table", counted)
+    return calls
+
+
+def test_closure_builds_two_tables_per_member(monkeypatch):
+    # the plain closure builds the d-table and the u-table of each member
+    # and no table per first box
+    calls = _count_tables(monkeypatch)
     members = generate_upsilon(9, barred=False)
     assert len(members) == 296
-    assert calls <= 2 * len(members), calls
+    assert calls[0] <= 2 * len(members), calls
+
+
+def test_barred_closure_filters_only_new_diagrams(monkeypatch):
+    # the barred closure adds one filter table per outcome that is not yet
+    # a member, not one per outcome: at most three tables per member
+    calls = _count_tables(monkeypatch)
+    members = generate_upsilon(9, barred=True)
+    assert len(members) == 296
+    assert calls[0] <= 3 * len(members), calls
+
+
+def test_closure_reads_the_barred_filter(monkeypatch):
+    # the filter runs after the lookup, but its verdict must still decide:
+    # with it inverted once the reference is built, the barred closure
+    # differs from it (every extension of the empty diagram is refused)
+    want = _reference_closure(8, True)
+    real = procedures._barred_keeps
+    monkeypatch.setattr(procedures, "_barred_keeps", lambda occ, bar: not real(occ, bar))
+    got = generate_upsilon(8, barred=True)
+    assert got != want
+    assert got == {EMPTY}
 
 
 @pytest.mark.parametrize("n, connected, total", [(6, 9, 33), (8, 27, 172), (10, 86, 892)])
