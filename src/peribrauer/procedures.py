@@ -31,11 +31,6 @@ copies the row intervals only for a first box with a second box.
 Termination of the closure is size-driven: E grows a diagram by two boxes
 and P permutes contents, so within a size bound and a content-span bound
 the reachable set is finite.
-
-The closure looks each outcome up before it tests it: only a new diagram
-meets the bounds and, if barred, the filter.  The closure is the same:
-an edge into a member adds nothing, and the bounds and the filter are
-two tests of one edge, so their order is free.
 """
 
 from __future__ import annotations
@@ -181,10 +176,12 @@ def generate_upsilon(max_size: int, barred: bool,
     (`_op_e_raw`).
 
     Each outcome is canonicalised and looked up first: only a diagram not
-    yet in the closure meets the bounds and, if barred, the filter
-    (`_barred_keeps`).  An edge into a member adds nothing, and the bounds
+    yet in the closure meets the span bound and, if barred, the filter
+    (`_barred_keeps`).  An edge into a member adds nothing, and the bound
     and the filter test one edge in either order, so this is the closure
     that filters every outcome first.  {empty} is a member from the start.
+    No outcome is tested for size: a push keeps the size, and extensions,
+    two boxes each, are tried only when k.size + 2 <= max_size.
     """
     span_cap = check_universe(max_size, span_cap)
     seen = {EMPTY}
@@ -206,8 +203,7 @@ def generate_upsilon(max_size: int, barred: bool,
         for outs, bar in steps:
             for o in outs:
                 res = SkewDiagram.from_occ(o)
-                if (res in seen or res.size > max_size or res.span() > span_cap
-                        or barred and not _barred_keeps(o, bar)):
+                if res in seen or res.span() > span_cap or barred and not _barred_keeps(o, bar):
                     continue
                 seen.add(res)
                 frontier.append(res)

@@ -16,7 +16,10 @@ checks each hook for two conditions: width = height + 1, and no box
 strictly above the diagonal through the box of minimal content.  Each of
 its passes tests a hook as soon as its bottom row is read, and the first
 failing hook returns before the rest of the pass is read.  It builds no
-hooks and does not call `covering`, so the two stay independent.
+hooks and does not call `covering`, so the two stay independent.  The
+exhaustive decomposition search works on box sets and answers in hooks,
+each decomposition in the covering's form and order, without calling
+`covering` or `components`.
 
 `enumerate_skew_diagrams` walks the universe depth first and visits no
 node that is neither a diagram nor the parent of one.
@@ -35,8 +38,8 @@ partitions only when that pass finds a fault.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import pairwise
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .partitions import INPUT_LIMIT, Partition, check_partition, format_partition
@@ -232,12 +235,16 @@ def components(k: SkewDiagram) -> list[tuple[SkewDiagram, tuple[int, int]]]:
     Boxes are adjacent when they share a side.  Each component is returned
     canonicalised, together with the offset (dr, dc) such that a canonical
     box (i, j) sits at (i + dr, j + dc) in the frame of k, in ascending
-    offset order.
+    offset order.  A piece is a run a..b of occupied rows with no empty row
+    between them, so its canonical rows are k's rows a..b shifted by the
+    left end of row b, the least, and its offset is (a, that left end).
     """
     out = []
     for piece in _pieces(k.rows):
-        occ = {i: k.rows[i] for i in piece}
-        out.append((SkewDiagram.from_occ(occ), (piece[0], min(l for l, _ in occ.values()))))
+        a, b = piece[0], piece[-1]
+        shift = k.rows[b][0]  # left ends fall down a skew shape
+        rows = tuple((l - shift, r - shift) for l, r in k.rows[a:b + 1])
+        out.append((SkewDiagram(rows), (a, shift)))
     return out
 
 
@@ -330,41 +337,25 @@ def _removable_positions(occ: Occ, content: int, down: bool) -> list[tuple[int, 
 # Hooks and coverings
 
 
-class Hook(tuple):
+class Hook(namedtuple("Hook", "top rows")):
     """A ribbon fixed in space (absolute box coordinates): ordered by
     content, each box lies right of or above the one before, so it is a
     connected skew diagram with pairwise distinct contents.
 
-    It is stored as a tuple (top, rows): its top row and the column
-    interval (cut, r] of each of its rows, top down.  Those are a ribbon
-    exactly when every interval is nonempty and each lower row ends in
-    the column where the row above starts, r_{i+1} == cut_i + 1; that is
-    the one ribbon check, and `Hook(boxes)` groups a box set by row and
-    goes through it.  A box set has one such form, so a hook equals,
-    hashes and prints as the record Hook(boxes) with `boxes` a frozenset
-    of (row, column), which is built only when it is read.
+    A hook is its top row and the column interval (cut, r] of each of its
+    rows, top down, and equals, hashes and prints as that record.  Those
+    are a ribbon exactly when every interval is nonempty and each lower
+    row ends in the column where the row above starts,
+    r_{i+1} == cut_i + 1; that is the one ribbon check, made on every
+    construction.  `Hook.of_boxes` groups a box set by row and goes
+    through it; the box set itself is built only when `boxes` is read.
     """
 
     __slots__ = ()
 
-    def __new__(cls, boxes: frozenset[tuple[int, int]]):
-        cols: dict[int, list[int]] = {}
-        for i, j in boxes:
-            cols.setdefault(i, []).append(j)
-        top = min(cols, default=0)
-        rows = []
-        for i in range(top, top + len(cols)):
-            js = cols.get(i)
-            # a missing row between the top and the bottom, or a row with a
-            # gap, becomes the empty interval (0, 0), which the check refuses
-            rows.append((min(js) - 1, max(js)) if js and max(js) - min(js) < len(js) else (0, 0))
-        return cls.of_rows(top, tuple(rows), boxes)
-
-    @classmethod
-    def of_rows(cls, top: int, rows: tuple[tuple[int, int], ...], given=None) -> "Hook":
-        """The hook with rows (cut, r], top down from row `top`; raise
-        ValueError, naming the boxes `given` or else the rows, if they are
-        not a ribbon."""
+    def __new__(cls, top: int, rows: tuple[tuple[int, int], ...], *, given=None):
+        """Raise ValueError, naming the boxes `given` or else the rows, if
+        the rows are not a ribbon."""
         if rows:
             above = rows[0][1] - 1  # the top row has no row above to meet
             for cut, r in rows:
@@ -375,8 +366,21 @@ class Hook(tuple):
                 return tuple.__new__(cls, (top, rows))
         raise ValueError(f"not a ribbon: {sorted(given) if given is not None else (top, rows)}")
 
-    top = property(itemgetter(0))
-    rows = property(itemgetter(1))
+    @classmethod
+    def of_boxes(cls, boxes: frozenset[tuple[int, int]]) -> "Hook":
+        """The hook of a box set of (row, column); raise ValueError, naming
+        the boxes, if they are not a ribbon."""
+        cols: dict[int, list[int]] = {}
+        for i, j in boxes:
+            cols.setdefault(i, []).append(j)
+        top = min(cols, default=0)
+        rows = []
+        for i in range(top, top + len(cols)):
+            js = cols.get(i)
+            # a missing row between the top and the bottom, or a row with a
+            # gap, becomes the empty interval (0, 0), which the check refuses
+            rows.append((min(js) - 1, max(js)) if js and max(js) - min(js) < len(js) else (0, 0))
+        return cls(top, tuple(rows), given=boxes)
 
     @property
     def boxes(self) -> frozenset[tuple[int, int]]:
@@ -396,15 +400,6 @@ class Hook(tuple):
     def min_box(self) -> tuple[int, int]:
         """The box of minimal content, the first of the bottom row."""
         return self.top + len(self.rows) - 1, self.rows[-1][0] + 1
-
-    def __hash__(self) -> int:
-        return hash((self.boxes,))
-
-    def __repr__(self) -> str:
-        return f"Hook(boxes={self.boxes!r})"
-
-    def __getnewargs__(self):
-        return (self.boxes,)
 
 
 Covering = tuple
@@ -450,7 +445,7 @@ def covering(k: SkewDiagram) -> Covering:
             if l < r:
                 piece.append((cut, r))
                 if not (l < r2 and l2 < r2):  # row i + 1 does not join
-                    hooks.append(Hook.of_rows(i + 2 - len(piece), tuple(piece)))
+                    hooks.append(Hook(i + 2 - len(piece), tuple(piece)))
                     piece = []
         if not kept:
             hooks.sort()
@@ -604,17 +599,18 @@ def _hooks_through(anchor: tuple[int, int], avail: frozenset) -> list[frozenset]
     return out
 
 
-def hook_decompositions(k: SkewDiagram) -> list[frozenset]:
+def hook_decompositions(k: SkewDiagram) -> list[Covering]:
     """Up to two decompositions of k into hooks that are pairwise disjoint
-    or nested, enough to tell whether it has exactly one.  Each
-    decomposition is a frozenset of hook box sets."""
-    found: list[frozenset] = []
+    or nested, enough to tell whether it has exactly one.  The search
+    works on box sets; each decomposition it finds is returned as a tuple
+    of `Hook`s in the order of `covering`."""
+    found: list[Covering] = []
 
     def rec(remaining: frozenset, chosen: tuple):
         if len(found) >= 2:
             return
         if not remaining:
-            found.append(frozenset(chosen))
+            found.append(tuple(sorted(Hook.of_boxes(h) for h in chosen)))
             return
         anchor = min(remaining)
         for hook in _hooks_through(anchor, remaining):

@@ -81,7 +81,7 @@ def flip_sets(max_size: int) -> CheckResult:
     return CheckResult("flip_sets", {"max_size": max_size}, checked, bad)
 
 
-def _anticontent_deltas(h: skew.Hook) -> tuple[int, ...]:
+def _anticontent_deltas(h) -> tuple[int, ...]:
     """The anticontents i + j of the hook's boxes in content order, less
     the minimal box's.  From the minimal box, the first of the bottom row,
     the ribbon steps right along a row (+1) and then up into the row
@@ -223,8 +223,9 @@ def covering_uniqueness(max_size: int) -> CheckResult:
     decomposition into pairwise disjoint-or-nested hooks, its covering, whose
     member hooks have even size.  Hooks are edge-connected, so k decomposes as
     its components do, and only they, the `connected` diagrams, are searched:
-    each once, its hooks moved into the frame of every k it is a component of."""
-    found: dict[SkewDiagram, Optional[list]] = {}  # connected diagram -> its hooks, None if it fails
+    each once, its one decomposition kept in the covering's form and moved
+    into the frame of every k it is a component of."""
+    found: dict[SkewDiagram, Optional[tuple]] = {}  # connected diagram -> its hooks, None if it fails
     connected, bad = 0, []
     for checked, k in enumerate(skew.enumerate_skew_diagrams(max_size), 1):
         comps = skew.components(k)
@@ -233,9 +234,9 @@ def covering_uniqueness(max_size: int) -> CheckResult:
         for c, (dr, dc) in comps:
             if c not in found:
                 decs = skew.hook_decompositions(c)
-                hooks = [(skew.Hook(b), len(b)) for b in decs[0]] if len(decs) == 1 else []
-                odd = any(n % 2 and skew.is_gamma0(h) for h, n in hooks)
-                found[c] = [h for h, _ in hooks] if hooks and not odd else None
+                fails = len(decs) != 1 or any(
+                    skew.is_gamma0(h) and sum(r - cut for cut, r in h.rows) % 2 for h in decs[0])
+                found[c] = None if fails else decs[0]
             if found[c] is None:
                 ok = len(comps) > 1  # a failing component, itself a diagram, reports it
                 break

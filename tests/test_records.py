@@ -17,8 +17,8 @@ RECORDS = {
                     lambda: SkewDiagram(((1, 3), (0, 2))),
                     SkewDiagram(((0, 3), (0, 2))), ("rows",)),
     "Hook": (lambda: covering(skew_from_pair((3, 2), (1,)))[0],
-             lambda: Hook(frozenset({(1, 2), (1, 3), (2, 1), (2, 2)})),
-             Hook(frozenset({(1, 2), (1, 3), (2, 2)})), ("boxes",)),
+             lambda: Hook.of_boxes(frozenset({(1, 2), (1, 3), (2, 1), (2, 2)})),
+             Hook.of_boxes(frozenset({(1, 2), (1, 3), (2, 2)})), ("top", "rows")),
     "WeightDiagram": (lambda: weight_of_partition((1,)),
                       lambda: WeightDiagram(-3, 3, frozenset({1, -1, -2, -3})),
                       WeightDiagram(-3, 3, frozenset({1, -2, -3})),
@@ -73,8 +73,8 @@ def test_copy_and_pickle_round_trip(record):
 def test_repr_unchanged():
     assert repr(skew_from_pair((3, 2), (1,))) == "SkewDiagram(rows=((1, 3), (0, 2)))"
     assert repr(SkewDiagram(())) == "SkewDiagram(rows=())"
-    assert (repr(Hook(frozenset({(1, 1), (1, 2), (2, 1)})))
-            == "Hook(boxes=frozenset({(1, 1), (1, 2), (2, 1)}))")
+    assert (repr(Hook.of_boxes(frozenset({(1, 1), (1, 2), (2, 1)})))
+            == "Hook(top=1, rows=((0, 2), (0, 1)))")
 
 
 def test_check_results_share_no_state():

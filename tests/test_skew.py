@@ -199,6 +199,18 @@ def test_components_offsets():
     assert len(components(BLOCK23)) == 1
 
 
+def test_components_match_occ_form():
+    # each piece cut from the canonical rows against the piece's row
+    # intervals canonicalised by `SkewDiagram.from_occ`, placed at its
+    # first row and least left end
+    for k in enumerate_skew_diagrams(8):
+        expected = []
+        for piece in skew._pieces(k.rows):
+            occ = {i: k.rows[i] for i in piece}
+            expected.append((SkewDiagram.from_occ(occ), (piece[0], min(l for l, _ in occ.values()))))
+        assert components(k) == expected, k
+
+
 def positions(k: SkewDiagram, down: bool, add: bool) -> set[tuple[int, int]]:
     """The addable (add=True) or removable boxes of k, d- (down=True) or
     u-, found by the primitives over the content window [min-2, max+2]."""
@@ -402,13 +414,13 @@ def test_covering_hook_is_itself():
 
 
 def test_hook_stats():
-    h = Hook(frozenset(HOOK4.boxes()))
+    h = Hook.of_boxes(frozenset(HOOK4.boxes()))
     assert (h.ht, h.wd) == (2, 3)
     assert tuple(h.min_box) == (2, 1)
     with pytest.raises(ValueError):
-        Hook(frozenset({(1, 1), (2, 2)}))  # disconnected
+        Hook.of_boxes(frozenset({(1, 1), (2, 2)}))  # disconnected
     with pytest.raises(ValueError):
-        Hook(frozenset(BLOCK23.boxes()))  # repeated contents
+        Hook.of_boxes(frozenset(BLOCK23.boxes()))  # repeated contents
 
 
 @pytest.mark.parametrize(
@@ -423,13 +435,13 @@ def test_hook_stats():
 )
 def test_hook_rows_refusal(top, rows):
     with pytest.raises(ValueError, match=re.escape(f"not a ribbon: {(top, rows)}")):
-        Hook.of_rows(top, rows)
+        Hook(top, rows)
 
 
 def test_hook_boxes_refusal():
     for boxes in ({(1, 1), (2, 2)}, {(1, 1), (1, 3)}, {(1, 1), (1, 2), (2, 1), (2, 2)}):
         with pytest.raises(ValueError, match=re.escape(f"not a ribbon: {sorted(boxes)}")):
-            Hook(frozenset(boxes))
+            Hook.of_boxes(frozenset(boxes))
 
 
 def _is_hook_reference(boxes) -> bool:
@@ -461,7 +473,7 @@ def test_hook_check_matches_reference():
         boxes = frozenset(c for t, c in enumerate(cells) if bits >> t & 1)
         expected = _is_hook_reference(boxes)
         try:
-            Hook(boxes)
+            Hook.of_boxes(boxes)
             ok = True
         except ValueError:
             ok = False
@@ -478,13 +490,24 @@ def test_interval_hooks_match_box_form():
         for d in (k, conjugate_skew(k)):
             for h in covering(d):
                 boxes = h.boxes
-                again = Hook(boxes)
+                again = Hook.of_boxes(boxes)
                 assert again == h and hash(again) == hash(h), d
                 ht, wd = len({i for i, _ in boxes}), len({j for _, j in boxes})
                 low = min(boxes, key=lambda b: b[1] - b[0])
                 assert (h.ht, h.wd, h.min_box) == (ht, wd, low), d
                 assert skew.width_condition(h) == (wd == ht + 1), d
                 assert skew.diagonal_condition(h) == all(i + j >= sum(low) for i, j in boxes), d
+
+
+def test_search_answers_in_hooks():
+    # a connected diagram's one decomposition is its covering: the same
+    # hooks, in the covering's order
+    searched = 0
+    for k in enumerate_skew_diagrams(7):
+        if len(components(k)) == 1:
+            searched += 1
+            assert skew.hook_decompositions(k) == [covering(k)], k
+    assert searched > 0
 
 
 @pytest.mark.parametrize(
@@ -497,7 +520,7 @@ def test_interval_hooks_match_box_form():
     ],
 )
 def test_gamma0_fixtures(diagram, expected):
-    assert is_gamma0(Hook(frozenset(diagram.boxes()))) is expected
+    assert is_gamma0(Hook.of_boxes(frozenset(diagram.boxes()))) is expected
 
 
 def test_gamma_fixtures():
