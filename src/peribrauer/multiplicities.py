@@ -8,14 +8,14 @@ explicit witness search, and the two must agree entrywise with every
 entry 0 or 1 -- any discrepancy means the implementation is wrong, so it
 raises instead of warning.  `cartan_matrix` builds both forms from the
 up-sets it reads itself, one cell label at a time, not from `cell_matrix`;
-it compares them sparsely, on their nonzero entries only, and scans the
-whole matrix just to name the first bad entry once they differ.
+it compares them sparsely, on their nonzero entries only, scans the
+whole matrix just to name the first bad entry once they differ, and
+writes only the nonzero entries into a matrix of zeros.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
 from typing import NamedTuple
 
 from .partitions import (
@@ -114,7 +114,10 @@ def cartan_matrix(r: int) -> DecompositionMatrix:
     for a witness nu and mu in the up-set.  The two must agree entrywise
     with every entry 0 or 1: every sum is 1 and the summed pairs are the
     witnessed ones.  Only when that fails does a scan over all label pairs
-    run, to raise on the first bad entry in label order."""
+    run, to raise on the first bad entry in label order.  The matrix
+    starts as rows of zeros and the sum form's nonzero entries are written
+    into it by label index: its pairs are label pairs, nu read from the
+    labels and mu from an up-set."""
     labels = labels_Lambda(r)
     ups, wits = {}, {}
     for lam in labels_L(r):
@@ -135,9 +138,11 @@ def cartan_matrix(r: int) -> DecompositionMatrix:
                         f"cartan entry ({format_partition(nu)}, {format_partition(mu)}) "
                         f"at r={r}: sum={s}, witness={w}"
                     )
-    entries = tuple(
-        tuple(map(total.get, zip(repeat(nu), labels), repeat(0))) for nu in labels
-    )
+    index = {nu: i for i, nu in enumerate(labels)}
+    entries = [[0] * len(labels) for _ in labels]
+    for (nu, mu), s in total.items():
+        entries[index[nu]][index[mu]] = s
+    entries = tuple(map(tuple, entries))
     return DecompositionMatrix(r, labels, labels, entries)
 
 

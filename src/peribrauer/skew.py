@@ -14,21 +14,24 @@ height, width, the minimal box and both hook conditions are read without
 a box set.  The membership test `is_gamma` peels by the same cut rule and
 checks each hook for two conditions: width = height + 1, and no box
 strictly above the diagonal through the box of minimal content.  Each of
-its passes tests a hook as soon as its bottom row is read, and the first
-failing hook returns before the rest of the pass is read.  It builds no
-hooks and does not call `covering`, so the two stay independent.  The
-exhaustive decomposition search works on box sets and answers in hooks,
-each decomposition in the covering's form and order, without calling
-`covering` or `components`.
+its passes tests a hook as soon as its bottom row is read, the first
+failing hook returns before the rest of the pass is read, and the next
+pass's rows are built only once every hook of the pass has passed.  It
+builds no hooks and does not call `covering`, so the two stay
+independent.  The exhaustive decomposition search works on box sets and
+answers in hooks, each decomposition in the covering's form and order,
+without calling `covering` or `components`.
 
 `enumerate_skew_diagrams` walks the universe depth first and visits no
 node that is neither a diagram nor the parent of one.
 
-`occ_violation` validates row intervals from outside (`parse_skew` and
-`conjugate_skew` through `check_skew`, criterion 6).  The addable/removable
-primitives behind the operators require skew row intervals instead, as
-every `SkewDiagram.occ()` and each of their own results is, and decide a
-box from its neighbour rows alone; the closed forms are in the docstrings
+`occ_violation` validates row intervals from outside (`parse_skew` through
+`check_skew`, criterion 6).  `conjugate_skew` tests its three conditions
+while it collects the occupied rows, and reaches `check_skew` only on a
+fault, for the refusal's text.  The addable/removable primitives behind
+the operators require skew row intervals instead, as every
+`SkewDiagram.occ()` and each of their own results is, and decide a box
+from its neighbour rows alone; the closed forms are in the docstrings
 of `_removable_positions` (a side test, by convexity in the product order)
 and `_addable_table` (the nearest occupied rows above and below, region
 by region), as does `SkewDiagram.from_occ`.  `skew_from_pair` reads a
@@ -507,19 +510,19 @@ def is_gamma(k: SkewDiagram) -> bool:
     r_top - cut_bottom and its minimal box first in the bottom row, so it
     passes when the width is one more than the height and no row has
     i + cut_i below bottom + cut_bottom.  The first failing hook returns
-    at once, before the rest of the pass is read.
+    at once, before the rest of the pass is read; only a pass whose hooks
+    all pass builds the next pass's rows, by the same cut rule, the last
+    row keeping nothing.
     """
     rows = k.rows
     last = len(rows) - 1
     while True:
-        nxt = []
         top = -1  # the open piece's top row, -1 while none is open
         done = True  # no occupied row in this pass
         for i, (l, r) in enumerate(rows):
-            l2, r2 = rows[i + 1] if i < last else (l, l)
-            cut = r2 - 1 if r2 > l else l
-            nxt.append((l, cut))
             if l < r:
+                l2, r2 = rows[i + 1] if i < last else (l, l)
+                cut = r2 - 1 if r2 > l else l
                 if top < 0:
                     top, r_top, low = i, r, i + cut
                     done = False
@@ -531,29 +534,41 @@ def is_gamma(k: SkewDiagram) -> bool:
                     top = -1
         if done:
             return True
-        rows = nxt
+        end = rows[-1][0]  # the last row keeps nothing
+        rows = [(l, r2 - 1 if r2 > l else l) for (l, _), (_, r2) in pairwise(rows)]
+        rows.append((end, end))
 
 
 def conjugate_skew(k: SkewDiagram) -> SkewDiagram:
     """Transpose of the box set, re-canonicalised, read off the row
     intervals in one sweep over the columns.
 
-    Once `occ_violation` accepts the occupied rows, l and r fall weakly
-    down them, and no column meets two rows with empty rows between them.
-    So the rows with r >= j are a prefix of the occupied rows and those
-    with l < j a suffix, and column j holds the occupied rows t..b where
-    the two overlap, one row interval: transposed row j is (t - 1, b].  As
-    j falls from the largest r to the smallest l + 1, both t and b only
-    move down, so each advances through the rows once.  Rows come out
-    bottom first, an empty column taking the right end of the nearest
-    occupied one below, as in `from_occ`, and the columns shift by the
-    first occupied row's index less one, the least left end.
+    The occupied rows are collected top down, each tested against the
+    one before by `occ_violation`'s three conditions; a fault sends k to
+    `check_skew`, which refuses it naming the first bad pair.  Once they
+    pass, l and r fall weakly down the occupied rows, and no column meets
+    two rows with empty rows between them.  So the rows with r >= j are a
+    prefix of the occupied rows and those with l < j a suffix, and column
+    j holds the occupied rows t..b where the two overlap, one row
+    interval: transposed row j is (t - 1, b].  As j falls from the
+    largest r to the smallest l + 1, both t and b only move down, so each
+    advances through the rows once.  Rows come out bottom first, an empty
+    column taking the right end of the nearest occupied one below, as in
+    `from_occ`, and the columns shift by the first occupied row's index
+    less one, the least left end.
     """
-    occ = k.occ()
-    check_skew(occ, k)
-    if not occ:
+    idx, itv = [], []  # the occupied rows, top down
+    a = 0  # the last occupied row so far, (la, ra] its interval; 0 before one
+    for i, row in enumerate(k.rows, 1):
+        l, r = row
+        if l < r:
+            if a and ((la < l or ra < r) if a == i - 1 else la < r):
+                check_skew(k.occ(), k)  # refuses, naming the first bad pair
+            idx.append(i)
+            itv.append(row)
+            a, la, ra = i, l, r
+    if not a:
         return EMPTY
-    idx, itv = list(occ), list(occ.values())
     last = len(idx) - 1
     shift = idx[0] - 1
     t = b = 0

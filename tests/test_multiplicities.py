@@ -137,6 +137,33 @@ def test_cartan_consistent_through_r7():
                 assert m.entries[i][j] == cartan_mult_witness(r, nu, mu)
 
 
+# (entries, ones) of the cell matrix and of the Cartan matrix by grade
+MATRIX_COUNTS = {
+    2: (6, 3, 4, 3),
+    3: (16, 5, 16, 7),
+    4: (56, 11, 49, 18),
+    5: (121, 17, 121, 32),
+    6: (342, 33, 324, 68),
+    7: (676, 45, 676, 94),
+    8: (1640, 81, 1600, 204),
+    9: (3136, 113, 3136, 289),
+    10: (6806, 187, 6724, 547),
+}
+
+
+@pytest.mark.parametrize("r", sorted(MATRIX_COUNTS))
+def test_matrix_counts(r):
+    cell, cart = cell_matrix(r), cartan_matrix(r)
+    n = len(cart.col_labels)
+    assert type(cart.entries) is tuple and len(cart.entries) == n
+    for row in cart.entries:
+        assert type(row) is tuple and len(row) == n
+        assert all(type(x) is int for x in row), row
+    got = (sum(map(len, cell.entries)), sum(map(sum, cell.entries)),
+           sum(map(len, cart.entries)), sum(map(sum, cart.entries)))
+    assert got == MATRIX_COUNTS[r]
+
+
 @pytest.mark.parametrize("name", ["conjugate_skew", "conjugate"])
 def test_cartan_gate_catches_broken_form(monkeypatch, capsys, name):
     # breaking the transpose in either form must make the two disagree

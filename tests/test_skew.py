@@ -576,6 +576,34 @@ def test_gamma_reads_no_covering(monkeypatch):
     assert sum(map(is_gamma, enumerate_skew_diagrams(8))) == 172
 
 
+@pytest.mark.parametrize("rows, expected", [
+    (((-2, 0), (-3, -1)), True),  # STAIR4, three columns left
+    (((-2, -1), (-3, -1)), False),
+    (((-1, 1), (-2, 0), (-3, -1)), True),
+    (((-1, 1), (-1, -1), (-3, -1)), True),  # two dominoes, an empty row between
+    (((-1, 0), (-1, -1), (-3, -1)), False),
+    (((-1, 0), (-1, 0), (-4, 0)), True),  # SIX_E, four columns left
+    (((-2, 0), (-2, 0)), False),
+    (((-3, -1),), True),
+])
+def test_gamma_off_frame(rows, expected):
+    # rows with negative left ends, outside the canonical frame: the last
+    # row keeps nothing whatever its left end, so membership agrees with
+    # the covering's hooks
+    d = SkewDiagram(rows)
+    assert is_gamma(d) is expected
+    assert all(is_gamma0(h) for h in covering(d)) is expected
+
+
+def test_gamma_ignores_column_shifts():
+    # every diagram with at most 7 boxes moved 1 to 3 columns left keeps
+    # its verdict, and the covering's hooks give it too
+    for k in enumerate_skew_diagrams(7):
+        for s in (1, 2, 3):
+            d = SkewDiagram(tuple((l - s, r - s) for l, r in k.rows))
+            assert is_gamma(d) == is_gamma(k) == all(is_gamma0(h) for h in covering(d)), d
+
+
 def test_conjugate_skew():
     assert conjugate_skew(DOMINO) == SkewDiagram(((0, 1), (0, 1)))
     assert conjugate_skew(EMPTY) == EMPTY
@@ -610,8 +638,12 @@ def test_conjugate_skew_matches_box_transpose():
         try:
             want = _box_transpose(k)
         except ValueError:
-            with pytest.raises(ValueError, match="not a skew diagram"):
+            with pytest.raises(ValueError, match="not a skew diagram") as got:
                 conjugate_skew(k)
+            # the same refusal as the full check, naming the same rows
+            with pytest.raises(ValueError) as full:
+                check_skew(k.occ(), k)
+            assert str(got.value) == str(full.value), rows
             refused += 1
         else:
             assert conjugate_skew(k) == want, rows

@@ -116,6 +116,7 @@ ORACLES = {
     "rim_hook_of_flip": {"covering", "is_gamma"},
     "cartan_mult_sum": {"cartan_mult_witness", "cartan_matrix"},
     "cartan_mult_witness": {"cartan_mult_sum", "cartan_matrix"},
+    "conjugate_skew": {"conjugate", "skew_from_pair"},
 }
 
 
