@@ -5,10 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
-from . import arrows, multiplicities, procedures, skew, verify
+from . import arrows, multiplicities, procedures, skew
 from .partitions import check_grade, format_partition, parse_partition
 
 
@@ -60,6 +59,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify_equivalence(args) -> int:
+    from . import verify
+
     return _print_check(verify.equivalence(args.max_size, args.span_cap))
 
 
@@ -99,6 +100,8 @@ def cmd_verify_tl(args) -> int:
         lo, hi = map(int, args.q_range.split(":"))
     except ValueError:
         raise ValueError(f"--q-range must be LO:HI (integers): {args.q_range!r}") from None
+    from . import verify
+
     return _print_check(verify.tl_relations(args.r_max, lo, hi))
 
 
@@ -124,6 +127,8 @@ def _print_check(res: verify.CheckResult) -> int:
 def cmd_verify_all(args) -> int:
     # refuse the grade before the first check runs, not at `tl_relations`
     check_grade(args.r_max, "r_max")
+    from . import verify
+
     results = [check(args.max_size, args.r_max) for check in verify.REGISTRY.values()]
     ok = all(res.ok for res in results)
     if args.format == "json":
@@ -159,6 +164,8 @@ def cmd_render(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="peribrauer",
         description="Skew-diagram combinatorics and decomposition matrices "

@@ -32,7 +32,6 @@ from .partitions import (
     format_partition,
     labels_L,
     remove_q,
-    size,
 )
 
 # finitely supported map (r, partition) -> coefficient, no zero values
@@ -70,7 +69,7 @@ def apply_Rq(v: ClassVector, q: int) -> ClassVector:
         removed = remove_q(lam, q)
         if removed is not None:
             _bump(out, (r - 1, removed), coeff)
-        if size(lam) < r:
+        if sum(lam) < r:
             added = add_q(lam, q)
             if added is not None:
                 _bump(out, (r - 1, added), coeff)
@@ -82,7 +81,7 @@ def apply_E(v: ClassVector) -> ClassVector:
     grades below 4."""
     out: ClassVector = {}
     for (r, lam), coeff in v.items():
-        if r >= 4 and size(lam) < r:
+        if r >= 4 and sum(lam) < r:
             _bump(out, (r - 2, lam), coeff)
     return out
 

@@ -51,10 +51,6 @@ def check_grade(r: int, name: str = "r") -> None:
         raise ValueError(f"{name} must be >= 2, got {r}")
 
 
-def size(p: Partition) -> int:
-    return sum(p)
-
-
 def conjugate(p: Partition) -> Partition:
     """Transpose the Young diagram."""
     if not p:
@@ -101,21 +97,28 @@ def remove_q(p: Partition, q: int) -> Optional[Partition]:
 
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, each a weakly decreasing tuple."""
+    """All partitions of n in decreasing lexicographic order, (n,) first.
+
+    The successor lowers the last part above 1 by one and refills the rows
+    below greedily with parts no longer; one list of parts, no recursion."""
     if n < 0:
         return ()
-    if n == 0:
-        return ((),)
-
-    def gen(rest: int, largest: int):
-        if rest == 0:
-            yield ()
-            return
-        for head in range(min(rest, largest), 0, -1):
-            for tail in gen(rest - head, head):
-                yield (head,) + tail
-
-    return tuple(gen(n, n))
+    cur = [n] if n else []
+    out = []
+    while True:
+        out.append(tuple(cur))
+        k = len(cur) - 1
+        while k >= 0 and cur[k] == 1:
+            k -= 1
+        if k < 0:
+            return tuple(out)
+        x = cur[k] - 1
+        # the rows from k on held x + 1 boxes and a 1 in each later row
+        full, last = divmod(x + len(cur) - k, x)
+        del cur[k:]
+        cur += [x] * full
+        if last:
+            cur.append(last)
 
 
 def subpartitions(p: Partition) -> Iterator[Partition]:

@@ -250,10 +250,13 @@ def test_import_loads_no_heavy_stdlib():
     # a command runs as one short process, so what the import loads is
     # start-up time: `dataclasses` pulls in `inspect`, `ast`, `dis` and
     # `tokenize`, `csv` is needed by `--format csv` alone and `json` by
-    # `--format json` alone
+    # `--format json` alone; `argparse` (with `gettext`) by argument
+    # parsing alone and the criterion registry `verify` by the `verify-*`
+    # commands alone
     src = Path(__file__).resolve().parent.parent / "src"
+    heavy = {"dataclasses", "inspect", "csv", "json", "argparse", "gettext", "peribrauer.verify"}
     out = subprocess.run(
         [sys.executable, "-c", "import sys, peribrauer.cli; "
-         "print(*sorted({'dataclasses', 'inspect', 'csv', 'json'} & set(sys.modules)))"],
+         f"print(*sorted({heavy!r} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []

@@ -14,7 +14,6 @@ from peribrauer.partitions import (
     parse_partition,
     partitions_of,
     remove_q,
-    size,
     subpartitions,
 )
 
@@ -91,7 +90,7 @@ def test_conjugate_fixtures(p, expected):
 @given(partitions)
 def test_conjugate_involution(p):
     assert conjugate(conjugate(p)) == p
-    assert size(conjugate(p)) == size(p)
+    assert sum(conjugate(p)) == sum(p)
 
 
 def test_contains():
@@ -200,6 +199,25 @@ def test_labels_nesting():
 def test_labels_reject_small_r():
     with pytest.raises(ValueError):
         labels_Lambda(1)
+
+
+# p(n) for n = 0..20
+PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231,
+                    297, 385, 490, 627)
+
+
+def test_partitions_of_order_and_count():
+    # the order decides the first witness of criteria 3, 4 and 5
+    for n, count in enumerate(PARTITION_COUNTS):
+        ps = partitions_of(n)
+        assert len(ps) == count, n
+        for p in ps:
+            assert check_partition(p) == p and sum(p) == n, (n, p)
+        assert all(a > b for a, b in zip(ps, ps[1:])), n  # strictly decreasing lexicographic
+
+
+def test_partitions_of_negative_is_empty():
+    assert partitions_of(-1) == ()
 
 
 def test_subpartitions():
