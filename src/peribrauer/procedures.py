@@ -19,8 +19,9 @@ require the result to admit no d-addable (q+1)-box (for P) or (q-1)-box
 
 Closing {empty} under the plain operators gives one family, under the
 barred operators another; `equivalence_report` checks both against the
-covering-based membership test over an exhaustive universe of diagrams.
-The closure builds one table of first boxes per diagram and operator
+covering-based membership test over an exhaustive universe of diagrams,
+with one lookup per diagram in a dict over the two.  The closure builds
+one table of first boxes per diagram and operator
 (`skew._addable_table`: the d-addable boxes of every content for P, the
 u-addable ones for E) and visits only the contents that have one.  E's
 second box needs no third table: after a first box that extends an
@@ -231,27 +232,31 @@ def equivalence_report(max_size: int, span_cap: Optional[int] = None,
     plain and barred closures, over every canonical diagram with at most
     `max_size` boxes and span at most `span_cap`.
 
-    Any diagram on which the three verdicts differ is reported; with a
-    correct implementation there are none.  The universe is streamed, so
-    memory holds the two closures and the disagreements only.
+    Each diagram on which the three verdicts differ is reported.  The
+    universe is streamed; memory holds the disagreements and one dict
+    over the union of the closures, a member to 1 (plain) | 2 (barred).
     """
     # accepts only workers=1, the value the benchmark passes; there is no pool
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
     span_cap = check_universe(max_size, span_cap)
-    upsilon = generate_upsilon(max_size, barred=False, span_cap=span_cap)
-    upsilon_bar = generate_upsilon(max_size, barred=True, span_cap=span_cap)
-    report = EquivalenceReport(max_size=max_size, span_cap=span_cap)
-
+    closures = dict.fromkeys(generate_upsilon(max_size, barred=False, span_cap=span_cap), 1)
+    for k in generate_upsilon(max_size, barred=True, span_cap=span_cap):
+        closures[k] = closures.get(k, 0) | 2
+    get = closures.get
+    checked = members = connected = 0
+    disagreements = []
     for k in enumerate_skew_diagrams(max_size, span_cap):
         in_gamma = is_gamma(k)
-        report.diagrams_checked += 1
-        in_ups = k in upsilon
-        in_bar = k in upsilon_bar
+        checked += 1
+        bits = get(k, 0)
         if in_gamma:
-            report.member_count += 1
-            if not k.is_empty and len(_pieces(k.rows)) == 1:
-                report.connected_nonzero_members += 1
-        if not (in_gamma == in_ups == in_bar):
-            report.disagreements.append((k, in_gamma, in_ups, in_bar))
+            members += 1
+            if k.rows and len(_pieces(k.rows)) == 1:
+                connected += 1
+        if bits != (3 if in_gamma else 0):
+            disagreements.append((k, in_gamma, bool(bits & 1), bool(bits & 2)))
+    report = EquivalenceReport(max_size=max_size, span_cap=span_cap)
+    report.diagrams_checked, report.member_count = checked, members
+    report.connected_nonzero_members, report.disagreements = connected, disagreements
     return report

@@ -5,7 +5,8 @@ row 1 and the leftmost occupied column is column 1.  Row r occupies the
 half-open column interval (l, r], i.e. columns l+1..r; interior rows may
 be empty (l == r), which happens for diagrams whose connected components
 are separated vertically.  Two diagrams are equal exactly when they agree
-as translation classes.
+as translation classes.  `SkewDiagram`'s constructor checks nothing, so
+the walk and `SkewDiagram.from_occ` build theirs with `tuple.__new__`.
 
 The covering peels rim hooks (the rightmost box of each content off every
 connected component, recursively) in one sweep over the row intervals per
@@ -13,10 +14,9 @@ pass, and gives each hook as its top row and its row intervals, from which
 height, width, the minimal box and both hook conditions are read without
 a box set.  The membership test `is_gamma` peels by the same cut rule and
 checks each hook for two conditions: width = height + 1, and no box
-strictly above the diagonal through the box of minimal content.  Each of
-its passes tests a hook as soon as its bottom row is read, the first
-failing hook returns before the rest of the pass is read, and the next
-pass's rows are built only once every hook of the pass has passed.  It
+strictly above the diagonal through the box of minimal content.  It tests
+a hook as soon as its bottom row is read, returns at the first failing
+one, and builds the next pass's rows only once every hook has passed.  It
 builds no hooks and does not call `covering`, so the two stay
 independent.  The exhaustive decomposition search works on box sets and
 answers in hooks, each decomposition in the covering's form and order,
@@ -50,6 +50,8 @@ from .partitions import INPUT_LIMIT, Partition, check_partition, format_partitio
 # Working form used by the algorithms: {row: (l, r)} with l < r, mapping
 # each occupied row (any integer) to its column interval (l, r] = l+1..r.
 Occ = dict
+
+_new = tuple.__new__  # builds only `SkewDiagram` (tests/test_source.py)
 
 
 def occ_violation(occ: Occ) -> Optional[tuple[str, int, int]]:
@@ -133,7 +135,7 @@ class SkewDiagram(NamedTuple):
             out.append((l - shift, fill))
             below = i
         out.reverse()
-        return SkewDiagram(tuple(out))
+        return _new(SkewDiagram, (tuple(out),))
 
     def occ(self) -> Occ:
         return {i + 1: itv for i, itv in enumerate(self.rows) if itv[0] < itv[1]}
@@ -662,16 +664,12 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
     diagram, then the first rows (l1, r1] by l1 and then r1 ascending, each
     diagram before those that extend it by rows below.
 
-    The span cap is what makes the family finite: connected components may
-    sit arbitrarily far apart in general, and every extra row or column of
-    separation costs content span.  A node with m rows has span
-    r1 + m - 2 >= m - 1, so the stack of child iterators, one per row
-    count, holds at most span_cap + 1 of them.
-
-    The walk visits no dead leaf.  A row right of column 0 is made only
-    when a box is left for one more row and the span cap lets a row fit
-    below it, so every visited node is canonical or has the canonical
-    child (0, 1] right below it.
+    The span cap makes the family finite, as components may sit arbitrarily
+    far apart: a node with m rows has span r1 + m - 2 >= m - 1, so the
+    stack of child iterators, one per row count, holds at most span_cap + 1
+    of them.  No dead leaf is visited: a row right of column 0 is made only
+    when a box is left for one more row and the span cap lets one fit below
+    it, so every node is canonical or has the canonical child (0, 1] below.
     """
     span_cap = check_universe(max_size, span_cap)
     yield EMPTY
@@ -704,7 +702,7 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
     while stack:
         for rows, used in stack[-1]:
             if rows[-1][0] == 0:  # canonical: the last row starts at column 0
-                yield SkewDiagram(rows)
+                yield _new(SkewDiagram, (rows,))
             # every later row t has l >= maxcon - span_cap + t - 1 >= 1 once
             # maxcon + m > span_cap, so no descendant reaches column 0; a
             # node right of column 0 always passes

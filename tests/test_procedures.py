@@ -337,6 +337,29 @@ def test_corrupted_membership_is_caught(monkeypatch):
     assert smallest.size == 4
 
 
+@pytest.mark.parametrize("side, change, expected", [
+    # the barred closure loses the domino, a member of both
+    (True, lambda ups: ups - {DOMINO}, (DOMINO, True, True, False)),
+    # the plain closure gains the single box, a member of neither
+    (False, lambda ups: ups | {SkewDiagram(((0, 1),))}, (SkewDiagram(((0, 1),)), False, True, False)),
+])
+def test_corrupted_closure_is_caught(monkeypatch, side, change, expected):
+    # a fault in one closure reaches the report as exactly one disagreement
+    # (diagram, in_gamma, in_ups, in_bar), its verdicts bools in that
+    # order, and leaves every tally as it was
+    clean = vars(equivalence_report(4))
+    generate = procedures.generate_upsilon
+
+    def faulty(max_size, barred, span_cap=None):
+        ups = generate(max_size, barred, span_cap)
+        return change(ups) if barred == side else ups
+
+    monkeypatch.setattr(procedures, "generate_upsilon", faulty)
+    rep = equivalence_report(4)
+    assert vars(rep) == {**clean, "disagreements": [expected]}
+    assert [type(v) for v in rep.disagreements[0][1:]] == [bool] * 3
+
+
 def test_every_member_has_barred_preimage():
     # each nonzero member arises from a member two boxes smaller or of the
     # same size under a barred operator

@@ -8,7 +8,7 @@ import pytest
 
 from peribrauer.arrows import WeightDiagram, weight_of_partition
 from peribrauer.multiplicities import DecompositionMatrix, cell_matrix
-from peribrauer.skew import Hook, SkewDiagram, covering, skew_from_pair
+from peribrauer.skew import Hook, SkewDiagram, covering, enumerate_skew_diagrams, skew_from_pair
 from peribrauer.verify import CheckResult
 
 # each record: two equal instances built apart, one that differs, field names
@@ -16,6 +16,14 @@ RECORDS = {
     "SkewDiagram": (lambda: skew_from_pair((3, 2), (1,)),
                     lambda: SkewDiagram(((1, 3), (0, 2))),
                     SkewDiagram(((0, 3), (0, 2))), ("rows",)),
+    # the walk and `from_occ` build their diagrams without the constructor
+    "SkewDiagram (walk)": (lambda: next(k for k in enumerate_skew_diagrams(4)
+                                        if k.rows == ((1, 3), (0, 2))),
+                           lambda: SkewDiagram(((1, 3), (0, 2))),
+                           SkewDiagram(((0, 3), (0, 2))), ("rows",)),
+    "SkewDiagram (from_occ)": (lambda: SkewDiagram.from_occ({6: (3, 5), 5: (4, 6)}),
+                               lambda: SkewDiagram(((1, 3), (0, 2))),
+                               SkewDiagram.from_occ({2: (0, 3), 3: (0, 2)}), ("rows",)),
     "Hook": (lambda: covering(skew_from_pair((3, 2), (1,)))[0],
              lambda: Hook.of_boxes(frozenset({(1, 2), (1, 3), (2, 1), (2, 2)})),
              Hook.of_boxes(frozenset({(1, 2), (1, 3), (2, 2)})), ("top", "rows")),
@@ -68,6 +76,11 @@ def test_copy_and_pickle_round_trip(record):
     for x in (make(), other):
         for y in (copy.copy(x), pickle.loads(pickle.dumps(x))):
             assert y == x and type(y) is type(x)
+
+
+def test_walk_yields_records():
+    for k in enumerate_skew_diagrams(6):
+        assert type(k) is SkewDiagram and k == SkewDiagram(k.rows)
 
 
 def test_repr_unchanged():

@@ -87,6 +87,44 @@ def test_no_unused_import_in_src():
     assert not unused, unused
 
 
+def _is_tuple_new(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "tuple")
+
+
+def test_tuple_new_builds_only_unchecked_records():
+    # `tuple.__new__` skips a record's own constructor: an alias of it may
+    # build `SkewDiagram`, whose constructor checks nothing, and a direct
+    # call may build only `cls` inside that class's `__new__`, after its
+    # check; so `Hook`'s ribbon check and `WeightDiagram`'s window check
+    # run on every construction.  An alias is read by name in every
+    # module, so one imported elsewhere is held to the same rule.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    aliases = {target.id for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and _is_tuple_new(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    assert aliases
+    calls, found = 0, []
+    for name, tree in trees.items():
+        inside = {id(call) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "__new__"
+                  for call in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            first = node.args[0].id if node.args and isinstance(node.args[0], ast.Name) else None
+            if isinstance(node.func, ast.Name) and node.func.id in aliases:
+                allowed = first == "SkewDiagram"
+            elif _is_tuple_new(node.func):
+                allowed = first == "cls" and id(node) in inside
+            else:
+                continue
+            calls += 1
+            if not allowed:
+                found.append(f"{name}:{node.lineno}")
+    assert calls and not found, found
+
+
 def _call_graph() -> dict[str, set[str]]:
     """Every function, class and method of src by name, with the names of
     those its body refers to.  Two definitions of one name (a method and
