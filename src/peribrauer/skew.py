@@ -6,7 +6,7 @@ half-open column interval (l, r], i.e. columns l+1..r; interior rows may
 be empty (l == r), which happens for diagrams whose connected components
 are separated vertically.  Two diagrams are equal exactly when they agree
 as translation classes.  `SkewDiagram`'s constructor checks nothing, so
-the walk and `SkewDiagram.from_occ` build theirs with `tuple.__new__`.
+every `SkewDiagram` is built with `tuple.__new__`.
 
 The covering peels rim hooks (the rightmost box of each content off every
 connected component, recursively) in one sweep over the row intervals per
@@ -18,9 +18,9 @@ strictly above the diagonal through the box of minimal content.  It tests
 a hook as soon as its bottom row is read, returns at the first failing
 one, and builds the next pass's rows only once every hook has passed.  It
 builds no hooks and does not call `covering`, so the two stay
-independent.  The exhaustive decomposition search works on box sets and
-answers in hooks, each decomposition in the covering's form and order,
-without calling `covering` or `components`.
+independent.  The exhaustive decomposition search grows its hooks as row
+intervals from the least remaining box, answers in the covering's order,
+and calls neither `covering` nor `components`.
 
 `enumerate_skew_diagrams` walks the universe depth first and visits no
 node that is neither a diagram nor the parent of one.
@@ -173,7 +173,7 @@ class SkewDiagram(NamedTuple):
         return format_skew(self)
 
 
-EMPTY = SkewDiagram(())
+EMPTY = _new(SkewDiagram, ((),))
 
 
 def skew_from_pair(outer: Partition, inner: Partition) -> SkewDiagram:
@@ -216,7 +216,7 @@ def skew_from_pair(outer: Partition, inner: Partition) -> SkewDiagram:
                 check_partition(inner)
             del out[top:]
             out.reverse()
-            return SkewDiagram(tuple(out))
+            return _new(SkewDiagram, (tuple(out),))
     raise ValueError(f"{format_partition(inner)} is not contained in {format_partition(outer)}")
 
 
@@ -249,7 +249,7 @@ def components(k: SkewDiagram) -> list[tuple[SkewDiagram, tuple[int, int]]]:
         a, b = piece[0], piece[-1]
         shift = k.rows[b][0]  # left ends fall down a skew shape
         rows = tuple((l - shift, r - shift) for l, r in k.rows[a:b + 1])
-        out.append((SkewDiagram(rows), (a, shift)))
+        out.append((_new(SkewDiagram, (rows,)), (a, shift)))
     return out
 
 
@@ -352,15 +352,13 @@ class Hook(namedtuple("Hook", "top rows")):
     are a ribbon exactly when every interval is nonempty and each lower
     row ends in the column where the row above starts,
     r_{i+1} == cut_i + 1; that is the one ribbon check, made on every
-    construction.  `Hook.of_boxes` groups a box set by row and goes
-    through it; the box set itself is built only when `boxes` is read.
+    construction.  The box set is built only when `boxes` is read.
     """
 
     __slots__ = ()
 
-    def __new__(cls, top: int, rows: tuple[tuple[int, int], ...], *, given=None):
-        """Raise ValueError, naming the boxes `given` or else the rows, if
-        the rows are not a ribbon."""
+    def __new__(cls, top: int, rows: tuple[tuple[int, int], ...]):
+        """Raise ValueError, naming the rows, if they are not a ribbon."""
         if rows:
             above = rows[0][1] - 1  # the top row has no row above to meet
             for cut, r in rows:
@@ -369,23 +367,7 @@ class Hook(namedtuple("Hook", "top rows")):
                 above = cut
             else:
                 return tuple.__new__(cls, (top, rows))
-        raise ValueError(f"not a ribbon: {sorted(given) if given is not None else (top, rows)}")
-
-    @classmethod
-    def of_boxes(cls, boxes: frozenset[tuple[int, int]]) -> "Hook":
-        """The hook of a box set of (row, column); raise ValueError, naming
-        the boxes, if they are not a ribbon."""
-        cols: dict[int, list[int]] = {}
-        for i, j in boxes:
-            cols.setdefault(i, []).append(j)
-        top = min(cols, default=0)
-        rows = []
-        for i in range(top, top + len(cols)):
-            js = cols.get(i)
-            # a missing row between the top and the bottom, or a row with a
-            # gap, becomes the empty interval (0, 0), which the check refuses
-            rows.append((min(js) - 1, max(js)) if js and max(js) - min(js) < len(js) else (0, 0))
-        return cls(top, tuple(rows), given=boxes)
+        raise ValueError(f"not a ribbon: {(top, rows)}")
 
     @property
     def boxes(self) -> frozenset[tuple[int, int]]:
@@ -456,28 +438,6 @@ def covering(k: SkewDiagram) -> Covering:
             hooks.sort()
             return tuple(hooks)
         rows = nxt
-
-
-def hooks_disjoint(a: frozenset, b: frozenset) -> bool:
-    """No box of one shares a side with (or equals) a box of the other."""
-    for i, j in a:
-        if (i, j) in b:
-            return False
-        for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if nb in b:
-                return False
-    return True
-
-
-def hook_nested_in(a: frozenset, b: frozenset) -> bool:
-    """Each lower and right side of a box of `a` is shared with another box
-    of `a` or of `b`."""
-    u = a | b
-    return all((i + 1, j) in u and (i, j + 1) in u for i, j in a)
-
-
-def disjoint_or_nested(a: frozenset, b: frozenset) -> bool:
-    return hooks_disjoint(a, b) or hook_nested_in(a, b) or hook_nested_in(b, a)
 
 
 def width_condition(h: Hook) -> bool:
@@ -586,53 +546,78 @@ def conjugate_skew(k: SkewDiagram) -> SkewDiagram:
         else:
             out.append((fill, fill))
     out.reverse()
-    return SkewDiagram(tuple(out))
+    return _new(SkewDiagram, (tuple(out),))
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive decomposition search (used to certify covering uniqueness)
 
 
-def _hooks_through(anchor: tuple[int, int], avail: frozenset) -> list[frozenset]:
-    """All hooks inside `avail` containing `anchor`.
+def _hooks_at(i: int, j: int, avail: frozenset) -> Iterator[Hook]:
+    """All hooks inside `avail` whose top row starts at (i, j), the least
+    box of `avail`: a run right along row i, then rows below, each ending
+    in the column where the row above starts."""
 
-    A hook is a ribbon: walking contents upward moves right or up, walking
-    downward moves left or down, one box per content.
-    """
+    def below(row: int, r: int) -> Iterator[tuple]:
+        """Each run of rows from `row` down under a row starting in column r."""
+        yield ()
+        cut = r - 1
+        while (row, cut + 1) in avail:
+            for tail in below(row + 1, cut + 1):
+                yield ((cut, r),) + tail
+            cut -= 1
 
-    def tails(box, delta):
-        yield (box,)
-        i, j = box
-        steps = ((i, j + 1), (i - 1, j)) if delta > 0 else ((i, j - 1), (i + 1, j))
-        for nb in steps:
-            if nb in avail:
-                for t in tails(nb, delta):
-                    yield (box,) + t
+    for tail in below(i + 1, j):
+        r = j
+        while (i, r) in avail:
+            yield Hook(i, ((j - 1, r),) + tail)
+            r += 1
 
-    out = []
-    for down in tails(anchor, -1):
-        for up in tails(anchor, +1):
-            out.append(frozenset(down) | frozenset(up))
-    return out
+
+def _apart(a: Hook, b: Hook) -> bool:
+    """No box of `a` equals or shares a side with one of `b`: in each row
+    of `a`, `b`'s rows one up, level and one down miss it."""
+    rows, n = b.rows, len(b.rows)
+    for y, (c, r) in enumerate(a.rows, a.top - b.top):
+        for d in (-1, 0, 1):
+            if 0 <= y + d < n:
+                c2, r2 = rows[y + d]
+                touch = not d  # the level row must not touch it either
+                if c2 - touch < r and c - touch < r2:
+                    return False
+    return True
+
+
+def _nested_in(a: Hook, b: Hook) -> bool:
+    """Each lower and right side of a box of `a` is shared with another
+    box of `a` or of `b`: in each row (c, r] of `a`, `b`'s row holds
+    column r + 1, and `b`'s next row holds the columns of (c, r] that
+    `a`'s next row, which holds c + 1, leaves open."""
+    rows, n, last = b.rows, len(b.rows), len(a.rows) - 1
+    for k, (c, r) in enumerate(a.rows):
+        y = a.top - b.top + k
+        if not (0 <= y < n and rows[y][0] <= r < rows[y][1]):
+            return False
+        lo = c + 1 + (k < last)  # the first open column
+        if lo <= r and not (y + 1 < n and rows[y + 1][0] < lo and r <= rows[y + 1][1]):
+            return False
+    return True
 
 
 def hook_decompositions(k: SkewDiagram) -> list[Covering]:
     """Up to two decompositions of k into hooks that are pairwise disjoint
-    or nested, enough to tell whether it has exactly one.  The search
-    works on box sets; each decomposition it finds is returned as a tuple
-    of `Hook`s in the order of `covering`."""
+    or nested, enough to tell whether it has exactly one.  The hook of the
+    least remaining box is one of `_hooks_at`; each decomposition found is
+    returned as a tuple of `Hook`s in the order of `covering`."""
     found: list[Covering] = []
 
     def rec(remaining: frozenset, chosen: tuple):
-        if len(found) >= 2:
-            return
         if not remaining:
-            found.append(tuple(sorted(Hook.of_boxes(h) for h in chosen)))
+            found.append(tuple(sorted(chosen)))
             return
-        anchor = min(remaining)
-        for hook in _hooks_through(anchor, remaining):
-            if all(disjoint_or_nested(hook, c) for c in chosen):
-                rec(remaining - hook, chosen + (hook,))
+        for hook in _hooks_at(*min(remaining), remaining):
+            if all(_apart(hook, c) or _nested_in(hook, c) or _nested_in(c, hook) for c in chosen):
+                rec(remaining - hook.boxes, chosen + (hook,))
                 if len(found) >= 2:
                     return
 

@@ -250,7 +250,7 @@ def hooks_in_outer_frame(mu, lam):
 def test_nested_flips_remove_nested_hooks():
     # flipping two disjoint pairs removes disjoint hooks; nested pairs
     # remove nested hooks
-    from peribrauer.skew import hook_nested_in, hooks_disjoint
+    from test_skew import hook_nested_in, hooks_disjoint
 
     for n in range(0, 11):
         for mu in partitions_of(n):

@@ -8,7 +8,8 @@ import pytest
 
 from peribrauer.arrows import WeightDiagram, weight_of_partition
 from peribrauer.multiplicities import DecompositionMatrix, cell_matrix
-from peribrauer.skew import Hook, SkewDiagram, covering, enumerate_skew_diagrams, skew_from_pair
+from peribrauer.skew import (Hook, SkewDiagram, components, conjugate_skew, covering,
+                             enumerate_skew_diagrams, skew_from_pair)
 from peribrauer.verify import CheckResult
 
 # each record: two equal instances built apart, one that differs, field names
@@ -16,7 +17,8 @@ RECORDS = {
     "SkewDiagram": (lambda: skew_from_pair((3, 2), (1,)),
                     lambda: SkewDiagram(((1, 3), (0, 2))),
                     SkewDiagram(((0, 3), (0, 2))), ("rows",)),
-    # the walk and `from_occ` build their diagrams without the constructor
+    # the walk, `from_occ`, `conjugate_skew` and `components` build their
+    # diagrams without the constructor
     "SkewDiagram (walk)": (lambda: next(k for k in enumerate_skew_diagrams(4)
                                         if k.rows == ((1, 3), (0, 2))),
                            lambda: SkewDiagram(((1, 3), (0, 2))),
@@ -24,9 +26,15 @@ RECORDS = {
     "SkewDiagram (from_occ)": (lambda: SkewDiagram.from_occ({6: (3, 5), 5: (4, 6)}),
                                lambda: SkewDiagram(((1, 3), (0, 2))),
                                SkewDiagram.from_occ({2: (0, 3), 3: (0, 2)}), ("rows",)),
+    "SkewDiagram (conjugate_skew)": (lambda: conjugate_skew(SkewDiagram(((1, 2), (0, 2)))),
+                                     lambda: SkewDiagram(((1, 2), (0, 2))),
+                                     SkewDiagram(((0, 2), (0, 1))), ("rows",)),
+    "SkewDiagram (components)": (lambda: components(SkewDiagram(((3, 5), (3, 4), (0, 2))))[1][0],
+                                 lambda: SkewDiagram(((0, 2),)),
+                                 SkewDiagram(((1, 2), (0, 1))), ("rows",)),
     "Hook": (lambda: covering(skew_from_pair((3, 2), (1,)))[0],
-             lambda: Hook.of_boxes(frozenset({(1, 2), (1, 3), (2, 1), (2, 2)})),
-             Hook.of_boxes(frozenset({(1, 2), (1, 3), (2, 2)})), ("top", "rows")),
+             lambda: Hook(1, ((1, 3), (0, 2))),
+             Hook(1, ((1, 3), (1, 2))), ("top", "rows")),
     "WeightDiagram": (lambda: weight_of_partition((1,)),
                       lambda: WeightDiagram(-3, 3, frozenset({1, -1, -2, -3})),
                       WeightDiagram(-3, 3, frozenset({1, -2, -3})),
@@ -86,8 +94,7 @@ def test_walk_yields_records():
 def test_repr_unchanged():
     assert repr(skew_from_pair((3, 2), (1,))) == "SkewDiagram(rows=((1, 3), (0, 2)))"
     assert repr(SkewDiagram(())) == "SkewDiagram(rows=())"
-    assert (repr(Hook.of_boxes(frozenset({(1, 1), (1, 2), (2, 1)})))
-            == "Hook(top=1, rows=((0, 2), (0, 1)))")
+    assert repr(Hook(1, ((0, 2), (0, 1)))) == "Hook(top=1, rows=((0, 2), (0, 1)))"
 
 
 def test_check_results_share_no_state():

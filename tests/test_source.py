@@ -149,7 +149,7 @@ ORACLES = {
     "covering": {"is_gamma", "_pieces", "components"},
     "components": {"covering", "is_gamma", "hook_decompositions"},
     "generate_upsilon": {"is_gamma", "covering"},
-    "hook_decompositions": {"covering", "_pieces", "components"},
+    "hook_decompositions": {"covering", "_pieces", "components", "is_gamma", "is_gamma0"},
     "pi_set": {"covering", "is_gamma"},
     "rim_hook_of_flip": {"covering", "is_gamma"},
     "cartan_mult_sum": {"cartan_mult_witness", "cartan_matrix"},
