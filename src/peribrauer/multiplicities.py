@@ -2,19 +2,31 @@
 
 The cell multiplicity of a pair (lam, mu) is 1 exactly when lam sits
 inside mu and the skew diagram mu/lam passes `is_gamma`; it does not
-depend on the algebra grade r beyond validating the labels.  Cartan
-entries are computed twice, through the reciprocity sum and through an
-explicit witness search, and the two must agree entrywise with every
-entry 0 or 1 -- any discrepancy means the implementation is wrong, so it
-raises instead of warning.  `cartan_matrix` builds both forms from the
-up-sets it reads itself, one cell label at a time, not from `cell_matrix`;
-it compares them sparsely, on their nonzero entries only, scans the
-whole matrix just to name the first bad entry once they differ, and
-writes only the nonzero entries into a matrix of zeros.
+depend on the algebra grade r beyond validating the labels.
+
+The size rule: lam sits inside mu only if mu has strictly more boxes
+than lam or mu = lam.  The labels run size-descending (`label_sort_key`),
+so those with more than n boxes are a prefix of the list and those with
+at most n boxes the rest of it (`_first_at_most`).  Every scan over label
+pairs here tests only the pairs the rule leaves: the matrices test, for
+each cell label, the strictly larger labels and the label itself, and
+the per-entry Cartan forms the cell labels with at most min(|mu|, |nu|)
+boxes.  Each tested pair, the diagonal too, still runs the membership
+test; no entry is assumed.
+
+Cartan entries are computed twice, through the reciprocity sum and
+through an explicit witness search, and the two must agree entrywise
+with every entry 0 or 1 -- any discrepancy means the implementation is
+wrong, so it raises instead of warning.  `cartan_matrix` builds both
+forms from the up-sets it reads itself, one cell label at a time, not
+from `cell_matrix`; it compares them sparsely, on their nonzero entries
+only, scans the whole matrix just to name the first bad entry once they
+differ, and writes only the nonzero entries into a matrix of zeros.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from typing import NamedTuple
 
@@ -53,6 +65,12 @@ def _gamma_pair(lam: Partition, mu: Partition) -> bool:
     return contains(lam, mu) and is_gamma(skew_from_pair(mu, lam))
 
 
+def _first_at_most(labels: tuple[Partition, ...], n: int) -> int:
+    """The index of the first of the size-descending `labels` with at most
+    n boxes: the labels before it are strictly larger."""
+    return bisect_left(labels, -n, key=lambda p: -sum(p))
+
+
 def cell_mult(r: int, lam: Partition, mu: Partition) -> int:
     """Multiplicity of the simple labelled mu in the cell module labelled
     lam, for the grade-r algebra."""
@@ -62,25 +80,41 @@ def cell_mult(r: int, lam: Partition, mu: Partition) -> int:
 
 def cell_matrix(r: int) -> DecompositionMatrix:
     """Rows over the cell labels, columns over the simple labels, both in
-    size-descending display order."""
+    size-descending display order.  By the size rule a row lam tests only
+    the columns strictly larger than lam, then lam itself when it is a
+    column; each row starts as zeros and its ones are written by column
+    index."""
     rows = labels_L(r)
     cols = labels_Lambda(r)
-    entries = tuple(
-        tuple(1 if _gamma_pair(lam, mu) else 0 for mu in cols) for lam in rows
-    )
-    return DecompositionMatrix(r, rows, cols, entries)
+    index = {mu: j for j, mu in enumerate(cols)}
+    # label size -> the number of columns strictly larger; the grade-r
+    # labels have r, r - 2, ... boxes
+    larger = {n: _first_at_most(cols, n) for n in range(r % 2, r + 1, 2)}
+    entries = []
+    for lam in rows:
+        row = [0] * len(cols)
+        tested = list(range(larger[sum(lam)]))
+        if lam in index:
+            tested.append(index[lam])
+        for j in tested:
+            if _gamma_pair(lam, cols[j]):
+                row[j] = 1
+        entries.append(tuple(row))
+    return DecompositionMatrix(r, rows, cols, tuple(entries))
 
 
 def cartan_mult_sum(r: int, nu: Partition, mu: Partition) -> int:
-    """Projective-module multiplicity via the reciprocity sum over all cell
-    labels lam of cell(lam, mu) * cell(lam', nu')."""
+    """Projective-module multiplicity via the reciprocity sum of
+    cell(lam, mu) * cell(lam', nu') over the cell labels lam with at most
+    min(|mu|, |nu|) boxes, the only ones the size rule lets inside both."""
     nu, mu = _check_label(r, nu, "simple"), _check_label(r, mu, "simple")
     nu_c = conjugate(nu)
+    cells = labels_L(r)
     # lam' sits inside nu' exactly when lam sits inside nu, so both
     # containments are tested before either membership test
     return sum(
         1
-        for lam in labels_L(r)
+        for lam in cells[_first_at_most(cells, min(sum(mu), sum(nu))):]
         if contains(lam, mu)
         and contains(lam, nu)
         and is_gamma(skew_from_pair(mu, lam))
@@ -91,9 +125,11 @@ def cartan_mult_sum(r: int, nu: Partition, mu: Partition) -> int:
 def cartan_mult_witness(r: int, nu: Partition, mu: Partition) -> int:
     """Same multiplicity via the witness form: 1 iff some cell label lam
     sits inside both mu and nu with mu/lam a member and the transpose of
-    nu/lam a member."""
+    nu/lam a member.  By the size rule the search runs over the cell
+    labels with at most min(|mu|, |nu|) boxes."""
     nu, mu = _check_label(r, nu, "simple"), _check_label(r, mu, "simple")
-    for lam in labels_L(r):
+    cells = labels_L(r)
+    for lam in cells[_first_at_most(cells, min(sum(mu), sum(nu))):]:
         if (
             contains(lam, mu)
             and contains(lam, nu)
@@ -109,7 +145,10 @@ def cartan_matrix(r: int) -> DecompositionMatrix:
     label lists per cell label lam, read off the pairs (nu, nu/lam) for
     the nu that contain lam, one lam at a time: its up-set (nu/lam a
     member, so cell(lam, nu) = 1) and its witnesses (the transpose of
-    nu/lam a member).  The sum form adds cell(lam, mu) * cell(lam', nu')
+    nu/lam a member).  By the size rule the pairs are the labels nu
+    strictly larger than lam that contain it, then (lam, lam) when lam
+    is a label; the empty lam/lam still goes through both membership
+    tests.  The sum form adds cell(lam, mu) * cell(lam', nu')
     over lam through the up-set of lam'; the witness form marks (nu, mu)
     for a witness nu and mu in the up-set.  The two must agree entrywise
     with every entry 0 or 1: every sum is 1 and the summed pairs are the
@@ -119,9 +158,15 @@ def cartan_matrix(r: int) -> DecompositionMatrix:
     into it by label index: its pairs are label pairs, nu read from the
     labels and mu from an up-set."""
     labels = labels_Lambda(r)
+    index = {nu: i for i, nu in enumerate(labels)}
+    # label size -> the number of labels strictly larger, as in cell_matrix
+    larger = {n: _first_at_most(labels, n) for n in range(r % 2, r + 1, 2)}
     ups, wits = {}, {}
     for lam in labels_L(r):
-        pairs = [(nu, skew_from_pair(nu, lam)) for nu in labels if contains(lam, nu)]
+        nus = [nu for nu in labels[:larger[sum(lam)]] if contains(lam, nu)]
+        if lam in index:
+            nus.append(lam)
+        pairs = [(nu, skew_from_pair(nu, lam)) for nu in nus]
         ups[lam] = [nu for nu, d in pairs if is_gamma(d)]
         wits[lam] = [nu for nu, d in pairs if is_gamma(conjugate_skew(d))]
     total, witness = Counter(), set()
@@ -138,7 +183,6 @@ def cartan_matrix(r: int) -> DecompositionMatrix:
                         f"cartan entry ({format_partition(nu)}, {format_partition(mu)}) "
                         f"at r={r}: sum={s}, witness={w}"
                     )
-    index = {nu: i for i, nu in enumerate(labels)}
     entries = [[0] * len(labels) for _ in labels]
     for (nu, mu), s in total.items():
         entries[index[nu]][index[mu]] = s

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -17,13 +18,14 @@ from peribrauer.multiplicities import (
 )
 from peribrauer.partitions import (
     add_q,
+    format_partition,
     labels_L,
     labels_Lambda,
     partitions_of,
     remove_q,
     contains,
 )
-from peribrauer.skew import is_gamma, skew_from_pair
+from peribrauer.skew import EMPTY, is_gamma, skew_from_pair
 from peribrauer.verify import cartan, rim_two_hooks
 
 
@@ -196,6 +198,125 @@ def test_cartan_gate_names_first_bad_entry(monkeypatch, name, r, entry):
     with pytest.raises(ConsistencyError) as exc:
         cartan_matrix(r)
     assert str(exc.value) == f"cartan entry {entry}"
+
+
+def _member(lam, mu):
+    # read through the module, so that a patch of it applies here too
+    return multiplicities.contains(lam, mu) and multiplicities.is_gamma(
+        multiplicities.skew_from_pair(mu, lam)
+    )
+
+
+def all_pairs_cell(r):
+    """The cell matrix's entries by containment and membership on every
+    label pair, with no size bound."""
+    return tuple(
+        tuple(int(_member(lam, mu)) for mu in labels_Lambda(r))
+        for lam in labels_L(r)
+    )
+
+
+def all_pairs_cartan(r):
+    """The Cartan matrix's entries by the sum and witness forms over every
+    cell label, for every label pair, with no size bound; or, where the
+    two forms differ or a sum exceeds 1, the message for the first such
+    entry in label order."""
+    m = multiplicities
+    entries = []
+    for nu in labels_Lambda(r):
+        row = []
+        for mu in labels_Lambda(r):
+            s = sum(
+                _member(lam, mu) and _member(m.conjugate(lam), m.conjugate(nu))
+                for lam in labels_L(r)
+            )
+            w = int(any(
+                _member(lam, mu)
+                and m.contains(lam, nu)
+                and m.is_gamma(m.conjugate_skew(m.skew_from_pair(nu, lam)))
+                for lam in labels_L(r)
+            ))
+            if s != w or s > 1:
+                return (f"cartan entry ({format_partition(nu)}, {format_partition(mu)}) "
+                        f"at r={r}: sum={s}, witness={w}")
+            row.append(s)
+        entries.append(tuple(row))
+    return tuple(entries)
+
+
+def cartan_or_message(r):
+    try:
+        return cartan_matrix(r).entries
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_matrices_match_all_pairs_reference(r):
+    # the size bound skips only pairs that cannot be contained
+    assert cell_matrix(r).entries == all_pairs_cell(r)
+    assert cartan_matrix(r).entries == all_pairs_cartan(r)
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_cartan_forms_match_matrix(r):
+    m = cartan_matrix(r)
+    for i, nu in enumerate(m.row_labels):
+        for j, mu in enumerate(m.col_labels):
+            assert cartan_mult_sum(r, nu, mu) == m.entries[i][j], (nu, mu)
+            assert cartan_mult_witness(r, nu, mu) == m.entries[i][j], (nu, mu)
+
+
+@pytest.mark.parametrize("name", ["conjugate_skew", "conjugate"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_cartan_gate_matches_all_pairs_reference(monkeypatch, name, r):
+    # under a broken transpose the reference names the same first bad
+    # entry as test_cartan_gate_names_first_bad_entry pins
+    monkeypatch.setattr(multiplicities, name, lambda x: x)
+    expected = all_pairs_cartan(r)
+    assert isinstance(expected, str)
+    assert cartan_or_message(r) == expected
+
+
+def test_diagonal_is_computed(monkeypatch):
+    # the pair (lam, lam) is tested, not assumed: a membership test that
+    # refuses the empty diagram empties the diagonal and nothing else
+    before = cell_matrix(4)
+    real = multiplicities.is_gamma
+    monkeypatch.setattr(multiplicities, "is_gamma", lambda d: d != EMPTY and real(d))
+    m = cell_matrix(4)
+    assert m.entries == all_pairs_cell(4)
+    for i, lam in enumerate(m.row_labels):
+        for j, mu in enumerate(m.col_labels):
+            expected = 0 if lam == mu else before.entries[i][j]
+            assert m.entries[i][j] == expected, (lam, mu)
+    assert any(before.entries[i][m.col_labels.index(lam)]
+               for i, lam in enumerate(m.row_labels) if lam)
+    assert cartan_or_message(4) == all_pairs_cartan(4)
+
+
+def test_matrices_pinned_work(monkeypatch):
+    # cell_matrix + cartan_matrix over r = 2..10: every contained pair is
+    # still read (skew_from_pair, is_gamma, conjugate_skew), and contains
+    # runs only on the pairs the size bound leaves, against 25,598 on all
+    # label pairs
+    calls = Counter()
+
+    def counting(name):
+        f = getattr(multiplicities, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in ("contains", "skew_from_pair", "is_gamma", "conjugate_skew"):
+        monkeypatch.setattr(multiplicities, name, counting(name))
+    for r in range(2, 11):
+        cell_matrix(r)
+        cartan_matrix(r)
+    assert calls == {"contains": 8442, "skew_from_pair": 4172,
+                     "is_gamma": 6258, "conjugate_skew": 2086}
 
 
 def test_prop_diff2():
