@@ -23,7 +23,10 @@ intervals from the least remaining box, answers in the covering's order,
 and calls neither `covering` nor `components`.
 
 `enumerate_skew_diagrams` walks the universe depth first and visits no
-node that is neither a diagram nor the parent of one.
+node that is neither a diagram nor the parent of one.  It reads a node's
+children from a table that lives for one call, keyed by (l, r, budget,
+slack): the last row, the boxes left and the span room; the table holds
+at most one entry per visited node.
 
 `occ_violation` validates row intervals from outside (`parse_skew` through
 `check_skew`, criterion 6).  `conjugate_skew` tests its three conditions
@@ -651,51 +654,57 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
 
     The span cap makes the family finite, as components may sit arbitrarily
     far apart: a node with m rows has span r1 + m - 2 >= m - 1, so the
-    stack of child iterators, one per row count, holds at most span_cap + 1
-    of them.  No dead leaf is visited: a row right of column 0 is made only
-    when a box is left for one more row and the span cap lets one fit below
-    it, so every node is canonical or has the canonical child (0, 1] below.
+    stack, one entry per row count, holds at most span_cap + 1 of them.  No
+    dead leaf is visited: a row right of column 0 is made only when a box
+    is left for one more row and the span cap lets one fit below it, so
+    every node is canonical or has the canonical child (0, 1] below.
+
+    A node's children depend only on its key (l, r, budget, slack): its
+    last row, the boxes left and the span room span_cap - maxcon - m (m
+    rows, top content maxcon).  A table that lives for one call maps a key,
+    when a node with it is first visited, to its children, each the rows
+    it appends and its own key (None if it has no children), so the table
+    holds at most one entry per visited node.
     """
     span_cap = check_universe(max_size, span_cap)
     yield EMPTY
+    table, keep = {}, {}.setdefault  # keep: one copy of each run, key and child
 
-    def below(rows: tuple, used: int):
-        l, r = rows[-1]
-        m = len(rows)
-        maxcon = rows[0][1] - 1
-        budget = max_size - used
-        # children by g, then r2 descending, then l2: g empty rows (r2, r2)
-        # and row t = m + g + 1 as (l2, r2], its lowest content l2 + 1 - t
-        # >= maxcon - span_cap, i.e. l2 >= l_lo; after g >= 1 empty rows
-        # r2 <= l.  A child right of column 0 is kept only if a row fits
-        # below it (l_lo < 0) and a box is left for that row
-        for g in range(span_cap - maxcon - m + 1 if l else 1):  # l_lo <= 0
-            l_lo = maxcon - span_cap + m + g
-            for r2 in range(l if g else r, 0, -1):
-                head = rows + ((r2, r2),) * g
-                if r2 <= budget:
-                    yield head + ((0, r2),), used + r2
-                if l_lo < 0:
-                    for l2 in range(max(1, r2 - budget + 1), min(l + 1, r2)):
-                        yield head + ((l2, r2),), used + r2 - l2
+    def node(ext, budget, slack):
+        # no child without a box left, nor a canonical descendant once
+        # slack < 0: every later row then starts right of column 0
+        key = (*ext[-1], budget, slack) if budget > 0 <= slack else None
+        child = keep(ext, ext), keep(key, key), ext[-1][0] == 0
+        return keep(child, child)
+
+    def children(l, r, budget, slack):
+        # by g, r2 descending, l2: g empty rows (r2, r2), r2 <= l if g >= 1,
+        # then (l2, r2]; l2 > 0 needs a box left and a row to fit (g < slack)
+        return tuple(node(((r2, r2),) * g + ((l2, r2),), budget - r2 + l2, slack - g - 1)
+                     for g in range(slack + 1 if l else 1)
+                     for r2 in range(l if g else r, 0, -1)
+                     for l2 in range(0 if r2 <= budget else r2 - budget + 1,
+                                     min(l + 1, r2) if g < slack else 1))
 
     # the first occupied row (l1, r1] has contents l1..r1 - 1; one right of
     # column 0 needs a box left and room for a row below (r1 <= span_cap)
-    stack = [((((l1, r1),), r1 - l1) for l1 in range(span_cap + 1)
-              for r1 in range(l1 + 1, 1 + (min(l1 + max_size - 1, span_cap) if l1
-                                           else min(max_size, span_cap + 1))))]
-    while stack:
-        for rows, used in stack[-1]:
-            if rows[-1][0] == 0:  # canonical: the last row starts at column 0
+    stack, base, it = [], (), (node(((l1, r1),), max_size - r1 + l1, span_cap - r1)
+                               for l1 in range(span_cap + 1)
+                               for r1 in range(l1 + 1, 1 + (min(l1 + max_size - 1, span_cap) if l1
+                                                            else min(max_size, span_cap + 1))))
+    while True:
+        for ext, key, canonical in it:  # canonical: the last row starts at column 0
+            rows = base + ext
+            if canonical:
                 yield _new(SkewDiagram, (rows,))
-            # every later row t has l >= maxcon - span_cap + t - 1 >= 1 once
-            # maxcon + m > span_cap, so no descendant reaches column 0; a
-            # node right of column 0 always passes
-            if used < max_size and rows[0][1] - 1 + len(rows) <= span_cap:
-                stack.append(below(rows, used))
+            if key:  # never an empty entry: (0, 1] fits below
+                stack.append((base, it))
+                base, it = rows, iter(table.get(key) or table.setdefault(key, children(*key)))
                 break
         else:
-            stack.pop()
+            if not stack:
+                return
+            base, it = stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +714,7 @@ def enumerate_skew_diagrams(max_size: int, span_cap: Optional[int] = None
 def format_skew(k: SkewDiagram) -> str:
     """Compact row-interval syntax `1:l..r;2:l..r;...`; `-` for the empty
     diagram."""
-    if k.is_empty:
-        return "-"
-    return ";".join(f"{i + 1}:{l}..{r}" for i, (l, r) in enumerate(k.rows))
+    return ";".join(f"{i + 1}:{l}..{r}" for i, (l, r) in enumerate(k.rows)) or "-"
 
 
 def check_input_limit(occ: Occ) -> None:
@@ -756,13 +763,6 @@ def render(k: SkewDiagram, contents: bool = False) -> str:
     if k.is_empty:
         return "(empty)"
     width = max(r for _, r in k.rows)
-    lines = []
-    for i, (l, r) in enumerate(k.rows, 1):
-        chars = []
-        for j in range(1, width + 1):
-            if l < j <= r:
-                chars.append(str((j - i) % 10) if contents else "#")
-            else:
-                chars.append(".")
-        lines.append("".join(chars))
-    return "\n".join(lines)
+    return "\n".join("".join((str((j - i) % 10) if contents else "#") if l < j <= r else "."
+                              for j in range(1, width + 1))
+                      for i, (l, r) in enumerate(k.rows, 1))

@@ -2,8 +2,9 @@ import hashlib
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import given, strategies as st
@@ -805,6 +806,39 @@ def test_enumerate_order_is_pinned():
                    for n in range(8) for cap in (None, 0, 2, n + 3))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1ac5b5145ffb8e5fa22f034a818abbe5715893b23a46d90020575ce6a032e886")
+    # the larger universes, where the walk's children table has entries
+    # that many nodes share
+    text = "".join("\n".join(map(format_skew, enumerate_skew_diagrams(n, cap))) + "\n\n"
+                   for n in (8, 9, 10) for cap in (None, 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "132737d5d2d510219300b2d861c8e7e1d00ba1a588679b55970356a9ae7f6cbb")
+
+
+def test_enumerate_table_is_per_call():
+    # two walks stepped in turn, and one dropped part way, leave no trace
+    # in each other or in the next walk
+    plain, capped = list(enumerate_skew_diagrams(7)), list(enumerate_skew_diagrams(7, 3))
+    stepped = list(zip_longest(enumerate_skew_diagrams(7), enumerate_skew_diagrams(7, 3)))
+    assert len(capped) < len(plain) == len(stepped)
+    assert [x for x, _ in stepped] == plain
+    assert [y for _, y in stepped[:len(capped)]] == capped
+    dropped = enumerate_skew_diagrams(7)
+    assert list(islice(dropped, 1000)) == plain[:1000]
+    assert list(enumerate_skew_diagrams(7)) == plain
+    assert list(enumerate_skew_diagrams(7, 3)) == capped
+
+
+def test_enumerate_is_lazy():
+    # neither the first rows nor a key's children are built ahead of the
+    # walk: the first items of a huge universe cost little memory
+    tracemalloc.start()
+    try:
+        got = list(islice(enumerate_skew_diagrams(10**5), 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [SkewDiagram(((0, 1),) * m) for m in range(20)]
+    assert peak < 2**20, peak
 
 
 def _universe_counts(max_size: int, span_cap: int) -> Counter:

@@ -155,6 +155,9 @@ ORACLES = {
     "cartan_mult_sum": {"cartan_mult_witness", "cartan_matrix"},
     "cartan_mult_witness": {"cartan_mult_sum", "cartan_matrix"},
     "conjugate_skew": {"conjugate", "skew_from_pair"},
+    # the universe is not built by the oracles it is checked against
+    "enumerate_skew_diagrams": {"is_gamma", "covering", "components", "generate_upsilon",
+                                "hook_decompositions"},
 }
 
 
